@@ -73,6 +73,15 @@ class MalformedMessage(DifftwinError):
         self.offset = offset
 
 
+class NodeError(DifftwinError):
+    """A node failed while serving the transport: a call or round raised,
+    its process exited or disconnected, or its exchange did not settle."""
+
+    def __init__(self, node, message):
+        super().__init__(f"node {node}: {message}")
+        self.node = node
+
+
 class TrainingDiverged(DifftwinError):
     """Network training produced a non-finite validation loss."""
 

@@ -144,7 +144,6 @@ class Facility:
         self._mag_pending = _Pending()
         self._instantiated_mass = 0.0
         self._outlet_mass = 0.0
-        self._in_flight = 0
         self.log_rows = []
 
     # -- setpoint interface -------------------------------------------------
@@ -270,10 +269,6 @@ class Facility:
         return times[order], classes[order], outlets[order]
 
     # -- accounting -----------------------------------------------------------
-
-    @property
-    def in_flight_count(self) -> int:
-        return len(self._siever_pending) + len(self._mag_pending)
 
     def mass_balance(self) -> tuple:
         """(instantiated, exited, in-flight) masses in kg; conservation says

@@ -486,13 +486,6 @@ class FusionResult:
             self._jac_chunks = implicit_jacobian(self._problem, self.map)
         return self._jac_chunks
 
-    def chunk(self, source_id: str) -> np.ndarray:
-        return self.jac_chunks[source_id]
-
-    @property
-    def source_ids(self):
-        return [s.id for s in self._problem.sources]
-
 
 def fuse(problem: FusionProblem, x0) -> FusionResult:
     """Two-phase fusion: naive solve, CI weight optimization at that working

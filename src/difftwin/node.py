@@ -228,7 +228,6 @@ class Node:
         self._m_pred = np.hstack([np.eye(n), np.zeros((n, n))])
         self._m_prior = np.hstack([np.zeros((n, n)), np.eye(n)])
         self._param_rows, self._param_row_names = self._build_param_rows()
-        self.outbox: list[Message] = []
 
     # -- registration and wiring ----------------------------------------
 
@@ -461,7 +460,6 @@ class Node:
                 out.append(
                     information_message(self.name, nb, step, projected.mean, projected.cov)
                 )
-        self.outbox.extend(out)
         return out
 
     # -- gradients -------------------------------------------------------------
@@ -541,7 +539,6 @@ class Node:
                 rec.sent_grad_max[nb] = max(sent_max or 0.0, magnitude)
                 out.append(gradient_message(self.name, nb, step, pending))
                 rec.grad_out[nb] = np.zeros_like(pending)
-        self.outbox.extend(out)
         return out
 
     # -- parameter update ---------------------------------------------------
@@ -552,6 +549,10 @@ class Node:
             for name, g in rec.grad_params.items():
                 totals[name] += g
         return totals
+
+    def max_param_grad(self) -> float:
+        """Largest magnitude among the accumulated parameter gradients."""
+        return max((abs(v) for v in self.accumulated_parameter_gradients().values()), default=0.0)
 
     def apply_update(self) -> dict:
         """Sign-based update from the summed parameter gradients; the new
@@ -578,14 +579,22 @@ class Node:
 
     def pump(self, inbox) -> list:
         """Drain an inbox, resolve, and emit generated messages."""
-        self.outbox = []
         for msg in inbox:
             self.handle_message(msg)
         if self.period == PERIOD_INFORMATION:
             self.resolve_all()
-            self.generate_info_messages()
-        else:
-            self.generate_gradient_messages()
-        out = self.outbox
-        self.outbox = []
-        return out
+            return self.generate_info_messages()
+        return self.generate_gradient_messages()
+
+    def state_rows(self, step: int) -> list:
+        """(coord, mean, std) of each current-step coordinate fused at
+        step; empty while the step has no fusion result."""
+        rec = self.steps.get(step)
+        if rec is None or rec.result is None:
+            return []
+        rows = []
+        for coord in self.layout.names:
+            ix = self.layout.cur(coord)
+            std = math.sqrt(max(float(rec.result.post_cov[ix, ix]), 0.0))
+            rows.append((coord, float(rec.result.map[ix]), std))
+        return rows

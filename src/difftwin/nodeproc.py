@@ -1,31 +1,44 @@
 """Subprocess entry point for one node behind the TCP transport.
 
 Connects to the hub, receives its configuration, and serves lockstep
-rounds plus a small set of driver calls (horizon, sensor ingestion,
-setpoints, diagnostics) as newline-delimited JSON frames.
+rounds plus the node's driver methods (horizon, sensor ingestion,
+setpoints, diagnostics) as newline-delimited JSON frames. A round or call
+that raises is answered with an error frame; the process keeps serving.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import socket
 import sys
+import traceback
 
 from .configs import build_node
 from .protocol import decode, encode
+from .transport import _send_frame
+
+# The node methods a hub may call; no other attribute is reachable.
+CALLS = frozenset({"ensure_horizon", "observe_sensor", "setpoints", "state_rows", "max_param_grad"})
 
 
-def _send(fh, doc):
-    fh.write(json.dumps(doc, separators=(",", ":")) + "\n")
-    fh.flush()
+def _answer(node, frame: dict) -> dict:
+    kind = frame.get("kind")
+    if kind == "round":
+        out = node.pump([decode(m) for m in frame["msgs"]])
+        return {"kind": "out", "msgs": [encode(m).decode().rstrip("\n") for m in out]}
+    if kind == "call" and frame.get("method") in CALLS:
+        value = getattr(node, frame["method"])(**frame.get("args", {}))
+        if frame["method"] == "ensure_horizon":
+            value = len(value)  # the created step records stay in this process
+        return {"kind": "ret", "value": value}
+    return {"kind": "error", "error": f"unknown frame {kind!r} or method {frame.get('method')!r}"}
 
 
 def serve(host: str, port: int, name: str) -> int:
     sock = socket.create_connection((host, port))
     fh = sock.makefile("rw", encoding="utf-8", newline="\n")
-    _send(fh, {"kind": "hello", "name": name})
+    _send_frame(fh, {"kind": "hello", "name": name})
     init = json.loads(fh.readline())
     if init.get("kind") != "init":
         return 2
@@ -36,50 +49,14 @@ def serve(host: str, port: int, name: str) -> int:
         if not line:
             return 0
         frame = json.loads(line)
-        kind = frame.get("kind")
-        if kind == "shutdown":
+        if frame.get("kind") == "shutdown":
             return 0
-        if kind == "round":
-            inbox = [decode(m) for m in frame["msgs"]]
-            out = node.pump(inbox)
-            _send(fh, {"kind": "out", "msgs": [encode(m).decode().rstrip("\n") for m in out]})
-        elif kind == "call":
-            method = frame["method"]
-            args = frame.get("args", {})
-            try:
-                if method == "ensure_horizon":
-                    value = len(node.ensure_horizon(float(args["now"])))
-                elif method == "observe":
-                    node.observe_sensor(int(args["step"]), args["sensor_id"], args["values"])
-                    value = True
-                elif method == "setpoints":
-                    value = node.setpoints()
-                elif method == "max_param_grad":
-                    totals = node.accumulated_parameter_gradients()
-                    value = max((abs(v) for v in totals.values()), default=0.0)
-                elif method == "state_rows":
-                    step = int(args["step"])
-                    rec = node.steps.get(step)
-                    value = []
-                    if rec is not None and rec.result is not None:
-                        lay = node.layout
-                        for coord in lay.names:
-                            ix = lay.cur(coord)
-                            value.append(
-                                [
-                                    coord,
-                                    float(rec.result.map[ix]),
-                                    math.sqrt(max(float(rec.result.post_cov[ix, ix]), 0.0)),
-                                ]
-                            )
-                else:
-                    _send(fh, {"kind": "ret", "error": f"unknown method {method!r}"})
-                    continue
-                _send(fh, {"kind": "ret", "value": value})
-            except Exception as exc:  # noqa: BLE001 - reported to the hub
-                _send(fh, {"kind": "ret", "error": f"{type(exc).__name__}: {exc}"})
-        else:
-            _send(fh, {"kind": "ret", "error": f"unknown frame kind {kind!r}"})
+        try:
+            reply = _answer(node, frame)
+        except Exception as exc:  # noqa: BLE001 - reported to the hub
+            traceback.print_exc()
+            reply = {"kind": "error", "error": f"{type(exc).__name__}: {exc}"}
+        _send_frame(fh, reply)
 
 
 def main() -> int:

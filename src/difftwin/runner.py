@@ -4,9 +4,10 @@ The runner owns the simulated clock. Each 30 s window: switch the network
 back to the information period (applying parameter updates), ingest the
 previous window's sensor readings, exchange information to quiescence,
 push setpoints and advance the facility, then run one backpropagation
-half-period. Deterministic round-robin delivery makes identical
-(seed, config) runs bitwise identical; the TCP transport reproduces the
-same rounds across processes behind phase barriers.
+half-period. Both transports route through one ``InMemoryBus``: with
+``transport="tcp"`` its nodes are proxies of node processes. Deterministic
+round-robin delivery makes identical (seed, config) runs bitwise
+identical, and a TCP run writes the same run.csv as a memory run.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .models.io import mlp_to_dict, siever_fit_to_dict
 from .models.layouts import MATERIALS, SIZES
 from .models.mlp import mlp_train
 from .models.siever import fit_splits, fit_step_response
+from .protocol import TYPE_GRADIENT, TYPE_INFORMATION
 from .transport import InMemoryBus, TcpHub
 
 SETPOINT_PARAMS = {"siever": ("speed", "speed"), "magsorter": ("height", "height")}
@@ -84,13 +86,6 @@ class RunResult:
     run_path: str
     max_grad_rounds: int = 0
 
-    def setpoint_series(self, name: str):
-        return [(r.window, getattr(r, name)) for r in self.rows]
-
-    def tail_rows(self, seconds: float, dt: float = 30.0):
-        n = int(seconds // dt)
-        return self.rows[-n:]
-
 
 # -- truth mapping for state logging ------------------------------------------
 
@@ -132,95 +127,8 @@ def _truth_flow(readings, location, article_filter) -> float:
     return total / reading.dt
 
 
-# -- node handles: shared loop over both transports -----------------------------
-
-
-class _MemoryHandles:
-    def __init__(self, node_cfgs, loss_node):
-        self.bus = InMemoryBus()
-        self.nodes = {}
-        for name in sorted(list(node_cfgs) + [loss_node.name]):
-            if name == loss_node.name:
-                self.bus.register(name, loss_node)
-            else:
-                node = build_node(node_cfgs[name])
-                self.nodes[name] = node
-                self.bus.register(name, node)
-        self.stats = self.bus.stats
-
-    def ensure_horizon(self, now):
-        for name in sorted(self.nodes):
-            self.nodes[name].ensure_horizon(now)
-
-    def observe(self, name, step, sensor_id, values):
-        self.nodes[name].observe_sensor(step, sensor_id, values)
-
-    def setpoints(self):
-        out = {}
-        for name, node in self.nodes.items():
-            out.update({(name, p): v for p, v in node.setpoints().items()})
-        return out
-
-    def quiesce(self, msgs=(), kick=False):
-        self.bus.post_all(msgs)
-        return self.bus.run_until_quiescent(kick=kick)
-
-    def siever_grad(self) -> float:
-        node = self.nodes.get("siever")
-        if node is None:
-            return 0.0
-        totals = node.accumulated_parameter_gradients()
-        return max((abs(v) for v in totals.values()), default=0.0)
-
-    def state_rows(self, name, step):
-        node = self.nodes[name]
-        rec = node.steps.get(step)
-        if rec is None or rec.result is None:
-            return []
-        lay = node.layout
-        rows = []
-        for coord in lay.names:
-            ix = lay.cur(coord)
-            rows.append(
-                (coord, float(rec.result.map[ix]), math.sqrt(max(rec.result.post_cov[ix, ix], 0.0)))
-            )
-        return rows
-
-    def close(self):
-        pass
-
-
-class _TcpHandles:
-    def __init__(self, node_cfgs, loss_node):
-        self.hub = TcpHub(node_cfgs, local_nodes={loss_node.name: loss_node})
-        self.names = sorted(node_cfgs)
-        self.stats = self.hub.stats
-
-    def ensure_horizon(self, now):
-        for name in self.names:
-            self.hub.call(name, "ensure_horizon", now=now)
-
-    def observe(self, name, step, sensor_id, values):
-        self.hub.call(name, "observe", step=step, sensor_id=sensor_id, values=values)
-
-    def setpoints(self):
-        out = {}
-        for name in self.names:
-            for p, v in self.hub.call(name, "setpoints").items():
-                out[(name, p)] = v
-        return out
-
-    def quiesce(self, msgs=(), kick=False):
-        return self.hub.run_until_quiescent(initial=list(msgs), kick=kick)
-
-    def siever_grad(self) -> float:
-        return float(self.hub.call("siever", "max_param_grad"))
-
-    def state_rows(self, name, step):
-        return [tuple(r) for r in self.hub.call(name, "state_rows", step=step)]
-
-    def close(self):
-        self.hub.close()
+def _setpoints(nodes) -> dict:
+    return {(name, p): v for name in sorted(nodes) for p, v in nodes[name].setpoints().items()}
 
 
 def run(config: RunConfig) -> RunResult:
@@ -244,62 +152,56 @@ def run(config: RunConfig) -> RunResult:
         switch_interval=config.switch_interval,
         activation_delay=activation,
     )
-    handles = (
-        _TcpHandles(node_cfgs, loss_node)
-        if config.transport == "tcp"
-        else _MemoryHandles(node_cfgs, loss_node)
-    )
-    facility = Facility(config.scenario, config.facility_params)
-    truth_maps = {name: _truth_map(cfg["machine"]) for name, cfg in node_cfgs.items()}
-
-    dt = 30.0
-    windows = int(config.scenario.duration_s // dt)
-    rows = []
-    states_path = os.path.join(config.out_dir, "states.csv") if config.write_states else None
-    run_path = os.path.join(config.out_dir, "run.csv")
-    states_file = open(states_path, "w", newline="") if states_path else None
-    states_writer = None
-    if states_file:
-        states_writer = csv.writer(states_file)
-        states_writer.writerow(
-            ["window", "time_s", "node", "coord", "mean", "std", "truth"]
-        )
-
-    readings_prev = None
-    max_grad_rounds = 0
-    final = {"speed": config.initial_speed, "height": config.initial_height}
+    hub = TcpHub(node_cfgs) if config.transport == "tcp" else None
+    states_file = None
     try:
+        nodes = hub.nodes if hub else {name: build_node(node_cfgs[name]) for name in sorted(node_cfgs)}
+        bus = InMemoryBus()
+        for name in sorted([*nodes, loss_node.name]):
+            bus.register(name, nodes.get(name, loss_node))
+        facility = Facility(config.scenario, config.facility_params)
+        truth_maps = {name: _truth_map(cfg["machine"]) for name, cfg in node_cfgs.items()}
+
+        dt = 30.0
+        windows = int(config.scenario.duration_s // dt)
+        rows = []
+        states_path = os.path.join(config.out_dir, "states.csv") if config.write_states else None
+        run_path = os.path.join(config.out_dir, "run.csv")
+        states_writer = None
+        if states_path:
+            states_file = open(states_path, "w", newline="")
+            states_writer = csv.writer(states_file)
+            states_writer.writerow(
+                ["window", "time_s", "node", "coord", "mean", "std", "truth"]
+            )
+
+        readings_prev = None
+        max_grad_rounds = 0
+        final = {"speed": config.initial_speed, "height": config.initial_height}
         for k in range(windows + 1):
             t0 = k * dt
-            handles.ensure_horizon(t0)
+            for name in sorted(nodes):
+                nodes[name].ensure_horizon(t0)
 
             # Phase switch back to information: apply updates, unfreeze.
-            mark = len(handles.stats.records)
             switch_msgs = loss_node.on_clock(t0) if k > 0 else []
             if switch_msgs:
-                handles.quiesce(switch_msgs, kick=False)
+                bus.post_all(switch_msgs)
+                bus.run_until_quiescent(kick=False)
 
             # Previous window's sensor readings feed step k-1.
             if readings_prev is not None:
                 for name in sorted(node_cfgs):
                     for sensor in node_cfgs[name]["sensors"]:
                         sid = sensor["id"]
-                        handles.observe(
-                            name, k - 1, sid, [readings_prev[sid].total_flow]
-                        )
-            info_rounds = handles.quiesce(kick=True)
-            info_records = [
-                r for r in handles.stats.records[mark:] if r[2] == "information"
-            ]
-            pair_step, per_step = {}, {}
-            for s, r_, t_, ts in info_records:
-                pair_step[(s, r_, ts)] = pair_step.get((s, r_, ts), 0) + 1
-                per_step[ts] = per_step.get(ts, 0) + 1
+                        nodes[name].observe_sensor(k - 1, sid, [readings_prev[sid].total_flow])
+            info_rounds = bus.run_until_quiescent(kick=True)
+            info = bus.take_stats()
 
             if states_writer and readings_prev is not None:
                 for name in sorted(node_cfgs):
                     tm = truth_maps[name]
-                    for coord, mean, std in handles.state_rows(name, k - 1):
+                    for coord, mean, std in nodes[name].state_rows(k - 1):
                         truth = ""
                         if coord in tm:
                             loc, flt = tm[coord]
@@ -312,22 +214,20 @@ def run(config: RunConfig) -> RunResult:
                 break
 
             # Push setpoints and simulate window k.
-            for (name, pname), value in sorted(handles.setpoints().items()):
+            for (name, pname), value in sorted(_setpoints(nodes).items()):
                 facility.set_setpoint(SETPOINT_PARAMS[name][1], value)
             readings_prev = facility.advance_window()
 
             # Backpropagation half-period in the middle of the window.
-            mark = len(handles.stats.records)
             grad_rounds = 0
             back_msgs = loss_node.on_clock(t0 + config.switch_interval)
             if back_msgs:
-                grad_rounds = handles.quiesce(back_msgs, kick=False)
+                bus.post_all(back_msgs)
+                grad_rounds = bus.run_until_quiescent(kick=False)
                 max_grad_rounds = max(max_grad_rounds, grad_rounds)
-            grad_records = [
-                r for r in handles.stats.records[mark:] if r[2] == "gradient"
-            ]
+            grad = bus.take_stats()
 
-            sp = handles.setpoints()
+            sp = _setpoints(nodes)
             rows.append(
                 WindowRow(
                     window=k,
@@ -336,21 +236,22 @@ def run(config: RunConfig) -> RunResult:
                     speed=sp.get(("siever", "speed"), float("nan")),
                     height=sp.get(("magsorter", "height"), float("nan")),
                     loss=loss_node.last_loss,
-                    info_msgs=len(info_records),
+                    info_msgs=info.by_type[TYPE_INFORMATION],
                     info_rounds=info_rounds,
-                    grad_msgs=len(grad_records),
+                    grad_msgs=grad.by_type[TYPE_GRADIENT],
                     grad_rounds=grad_rounds,
-                    max_info_per_pair_step=max(pair_step.values(), default=0),
-                    max_info_per_step=max(per_step.values(), default=0),
-                    siever_grad=handles.siever_grad() if back_msgs else 0.0,
+                    max_info_per_pair_step=max(info.info_per_pair_step.values(), default=0),
+                    max_info_per_step=max(info.info_per_step.values(), default=0),
+                    siever_grad=nodes["siever"].max_param_grad() if back_msgs else 0.0,
                 )
             )
-        for (name, pname), value in handles.setpoints().items():
+        for (name, pname), value in _setpoints(nodes).items():
             final[pname] = value
     finally:
         if states_file:
             states_file.close()
-        handles.close()
+        if hub is not None:
+            hub.close()
 
     with open(run_path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -635,8 +635,10 @@ class TestCriterion12DeterminismAndTransport:
             abs(res_tcp.final_setpoints[k] - digests[0][2][k])
             for k in digests[0][2]
         )
+        tcp_bitwise = open(res_tcp.run_path, "rb").read() == digests[0][0]
         report(
             "criterion 12 determinism and transport equivalence",
-            bitwise and tcp_gap <= 1e-9,
-            f"memory runs bitwise identical: {bitwise}; TCP final-parameter gap {tcp_gap:.2e} (<= 1e-9)",
+            bitwise and tcp_bitwise and tcp_gap <= 1e-9,
+            f"memory runs bitwise identical: {bitwise}; TCP run.csv bitwise identical: "
+            f"{tcp_bitwise}; TCP final-parameter gap {tcp_gap:.2e} (<= 1e-9)",
         )

@@ -101,6 +101,8 @@ class TestTcpTransport:
             write_states=False,
         )
         res_tcp = run(cfg_tcp)
+        with open(res_mem.run_path, "rb") as a, open(res_tcp.run_path, "rb") as b:
+            assert a.read() == b.read()
         for key in res_mem.final_setpoints:
             assert res_tcp.final_setpoints[key] == pytest.approx(
                 res_mem.final_setpoints[key], abs=1e-9
