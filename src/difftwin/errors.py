@@ -61,10 +61,6 @@ class GradientOutsidePeriod(DifftwinError):
     """Gradient message handled while not in the backpropagation period."""
 
 
-class MissingFusionResult(DifftwinError):
-    """Backpropagation requires a fusion result that does not exist."""
-
-
 class MalformedMessage(DifftwinError):
     """Wire message failed to parse or violates the message schema."""
 

@@ -144,7 +144,6 @@ class Facility:
         self._mag_pending = _Pending()
         self._instantiated_mass = 0.0
         self._outlet_mass = 0.0
-        self.log_rows = []
 
     # -- setpoint interface -------------------------------------------------
 
@@ -244,16 +243,6 @@ class Facility:
                 for ci in range(len(CATALOG))
             }
             readings[loc] = SensorReading(location=loc, window=self.window, class_masses=masses)
-        self.log_rows.append(
-            {
-                "window": self.window,
-                "t0": t0,
-                "phase": self.scenario.phase_at(t0),
-                "speed": speed,
-                "height": height,
-                "readings": readings,
-            }
-        )
         self.window += 1
         return readings
 

@@ -7,6 +7,10 @@ weights by determinant minimization, and differentiates the MAP with
 respect to every source value through the implicit function theorem
 (second-order residual terms omitted).
 
+At the MAP the stacked system is assembled and its normal matrix factored
+once, in a `Linearization`; the posterior covariance, the chi-square value
+and the implicit Jacobian are all read from that one factor.
+
 Source kinds map to CI weight groups as follows: prior, process model,
 parameter and sensor rows share the single local weight; the prediction
 model is fixed at weight one; every communication source carries its own
@@ -207,55 +211,34 @@ class FusionProblem:
             j = L @ obs.matrix
         return r, j
 
-    def assemble(self, x, with_beta_jacobian=False):
-        """Stacked sqrt(w)-scaled whitened residual, its state Jacobian and,
-        optionally, the Jacobian with respect to the inhomogeneity vector."""
+    def assemble(self, x):
+        """Stacked sqrt(w)-scaled whitened residual and its state Jacobian."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise DimensionMismatch(f"x has shape {x.shape}, expected ({self.dim},)")
         rows = self.beta_dim
         r = np.empty(rows)
         jac = np.empty((rows, self.dim))
-        jac_beta = np.zeros((rows, self.beta_dim)) if with_beta_jacobian else None
         for src, (sid, off, m), L in zip(self.sources, self.offsets, self._whiteners):
             sw = math.sqrt(self.weights.weight_for(src.ci_group))
             rs, js = self._source_rows(src, L, x)
             r[off : off + m] = sw * rs
             jac[off : off + m, :] = sw * js
-            if jac_beta is not None:
-                jac_beta[off : off + m, off : off + m] = -sw * L
-        if with_beta_jacobian:
-            return r, jac, jac_beta
         return r, jac
 
-
-def assemble_residual(problem: FusionProblem, x):
-    """Residual, state Jacobian and beta Jacobian at x with the problem's
-    current CI weights applied as sqrt(w) row scalings."""
-    return problem.assemble(x, with_beta_jacobian=True)
-
-
-def _check_structural_rank(problem: FusionProblem, x0):
-    _, jac = problem.assemble(x0)
-    diag = np.einsum("ij,ij->j", jac, jac)
-    scale = float(np.max(diag)) if diag.size else 0.0
-    dead = np.nonzero(diag <= 1e-300 * max(scale, 1.0))[0]
-    if dead.size:
-        names = (
-            [problem.coord_names[i] for i in dead]
-            if problem.coord_names
-            else [f"x[{i}]" for i in dead]
-        )
-        raise WellPosednessError(
-            f"no information source constrains coordinates: {', '.join(names)}",
-            uninformed=names,
-        )
+    def coord_names_at(self, indices) -> list:
+        """Names of the state coordinates at the given indices."""
+        if self.coord_names:
+            return [self.coord_names[i] for i in indices]
+        return [f"x[{i}]" for i in indices]
 
 
 def solve_map(problem: FusionProblem, x0) -> np.ndarray:
     """Damped Gauss-Newton minimization of the stacked squared residual.
 
-    Stops when the max-norm of the chi-square gradient falls below
+    Raises WellPosednessError, naming the coordinates, when the Jacobian at
+    x0 has an all-zero column: no source constrains that coordinate. Stops
+    when the max-norm of the chi-square gradient falls below
     1e-9 * max(1, chi2), or after 200 accepted iterations. The damping
     parameter doubles on rejected steps and shrinks by 3 on accepted ones.
     """
@@ -266,6 +249,15 @@ def solve_map(problem: FusionProblem, x0) -> np.ndarray:
         raise NonFiniteResidual("x0 contains non-finite entries")
 
     r, jac = problem.assemble(x)
+    col = np.einsum("ij,ij->j", jac, jac)
+    scale = float(np.max(col)) if col.size else 0.0
+    dead = np.nonzero(col <= 1e-300 * max(scale, 1.0))[0]
+    if dead.size:
+        names = problem.coord_names_at(dead)
+        raise WellPosednessError(
+            f"no information source constrains coordinates: {', '.join(names)}",
+            uninformed=names,
+        )
     if not np.all(np.isfinite(r)):
         raise NonFiniteResidual("residual non-finite at the initial point")
     chi2 = float(r @ r)
@@ -311,30 +303,35 @@ def solve_map(problem: FusionProblem, x0) -> np.ndarray:
     return x
 
 
-def _normal_matrix(problem: FusionProblem, x) -> np.ndarray:
-    _, jac = problem.assemble(x)
-    return jac.T @ jac
+class Linearization:
+    """The stacked system at one point: whitened residual `r`, its state
+    Jacobian `jac` and the lower Cholesky factor `chol` of jac.T @ jac.
+
+    Assembles once and factors once. Raises SingularInformation, naming the
+    coordinates with no information, when jac.T @ jac is not positive
+    definite, so an instance always holds a valid factor.
+    """
+
+    def __init__(self, problem: FusionProblem, x):
+        self.problem = problem
+        self.r, self.jac = problem.assemble(x)
+        normal = self.jac.T @ self.jac
+        try:
+            self.chol = np.linalg.cholesky(normal)
+        except np.linalg.LinAlgError:
+            diag = np.diag(normal)
+            scale = float(np.max(diag)) if diag.size else 0.0
+            dead = np.nonzero(diag <= 1e-14 * max(scale, 1.0))[0]
+            raise SingularInformation(
+                "total information matrix is rank deficient",
+                uninformed=problem.coord_names_at(dead),
+            ) from None
 
 
-def posterior_covariance(problem: FusionProblem, map_x) -> np.ndarray:
+def posterior_covariance(lin: Linearization) -> np.ndarray:
     """Inverse of the CI-weighted total information matrix, with model
-    Jacobians evaluated at the MAP."""
-    normal = _normal_matrix(problem, np.asarray(map_x, dtype=float))
-    try:
-        chol = np.linalg.cholesky(normal)
-    except np.linalg.LinAlgError:
-        diag = np.diag(normal)
-        scale = float(np.max(diag)) if diag.size else 0.0
-        dead = np.nonzero(diag <= 1e-14 * max(scale, 1.0))[0]
-        names = (
-            [problem.coord_names[i] for i in dead]
-            if problem.coord_names
-            else [f"x[{i}]" for i in dead]
-        )
-        raise SingularInformation(
-            "total information matrix is rank deficient", uninformed=names
-        ) from None
-    inv_chol = np.linalg.solve(chol, np.eye(problem.dim))
+    Jacobians evaluated at the linearization point."""
+    inv_chol = np.linalg.solve(lin.chol, np.eye(lin.problem.dim))
     return symmetrize(inv_chol.T @ inv_chol)
 
 
@@ -443,22 +440,14 @@ def ci_optimize_weights(problem: FusionProblem, map_naive) -> CiWeights:
     return weights
 
 
-def implicit_jacobian(problem: FusionProblem, map_x) -> dict:
-    """Per-source chunks of the MAP-vs-inhomogeneity Jacobian.
+def implicit_jacobian(lin: Linearization) -> dict:
+    """Per-source chunks of the MAP-vs-inhomogeneity Jacobian at a MAP.
 
     The full matrix is (J^T J)^{-1} J^T applied to the block-diagonal
     weighted whitening; second-order residual terms are omitted. Keys are
     source ids, values are (dim x out_dim) arrays.
     """
-    x = np.asarray(map_x, dtype=float)
-    _, jac = problem.assemble(x)
-    normal = jac.T @ jac
-    try:
-        chol = np.linalg.cholesky(normal)
-    except np.linalg.LinAlgError as exc:
-        raise SingularNormalEquations(
-            f"normal matrix singular at the MAP: {exc}"
-        ) from None
+    problem, jac, chol = lin.problem, lin.jac, lin.chol
     chunks = {}
     for src, (sid, off, m), L in zip(problem.sources, problem.offsets, problem._whiteners):
         w = problem.weights.weight_for(src.ci_group)
@@ -482,16 +471,23 @@ class FusionResult:
 
     @property
     def jac_chunks(self) -> dict:
+        # Rebuilt on demand rather than kept from fuse: most results are
+        # never backpropagated through, and the factor would stay in memory.
         if self._jac_chunks is None:
-            self._jac_chunks = implicit_jacobian(self._problem, self.map)
+            self._jac_chunks = implicit_jacobian(Linearization(self._problem, self.map))
         return self._jac_chunks
 
 
 def fuse(problem: FusionProblem, x0) -> FusionResult:
     """Two-phase fusion: naive solve, CI weight optimization at that working
-    point, final weighted solve, posterior covariance and MAP Jacobians."""
+    point, final weighted solve. One Linearization at the final MAP gives the
+    posterior covariance and chi2; the MAP Jacobians are rebuilt from the
+    same point on first use.
+
+    Raises WellPosednessError when a coordinate has no information at x0,
+    SingularInformation when the information matrix at the MAP is singular.
+    """
     problem.set_weights(naive_weights(problem))
-    _check_structural_rank(problem, np.asarray(x0, dtype=float))
     x_naive = solve_map(problem, x0)
     if problem.comm_groups():
         weights = ci_optimize_weights(problem, x_naive)
@@ -499,12 +495,11 @@ def fuse(problem: FusionProblem, x0) -> FusionResult:
         x_map = solve_map(problem, x_naive)
     else:
         x_map = x_naive
-    post = posterior_covariance(problem, x_map)
-    r, _ = problem.assemble(x_map)
+    lin = Linearization(problem, x_map)
     return FusionResult(
         map=x_map,
-        post_cov=post,
-        chi2=float(r @ r),
+        post_cov=posterior_covariance(lin),
+        chi2=float(lin.r @ lin.r),
         ci_weights=problem.weights,
         _problem=problem,
     )

@@ -7,7 +7,7 @@ import numpy as np
 from ..errors import ConfigError
 from .base import LinearRowsModel, StackedModel
 from .layouts import STEP_SECONDS, StateLayout, conveyor_layout, hist_name
-from .lowpass import INPUT_STD, REST_STD, SHIFT_STD, shift_register_rows
+from .lowpass import INPUT_STD, REST_STD, SHIFT_STD, lowpass_prediction, shift_register_rows
 
 OUTPUT_ROW_STD = 1e-3  # slack absorbing window-discretization effects, kg/s
 
@@ -71,19 +71,6 @@ def conveyor_model(
                 interp[r, layout.cur(hist_name(cls, h))] = -weights[h]
     blocks.append(LinearRowsModel(interp, out_std**2 * np.eye(n_cls)))
 
-    lp = np.zeros((2 * n_cls, layout.dim))
-    stds = []
-    r = 0
-    for cls in layout.hist_classes:
-        lp[r, layout.nxt(hist_name(cls, 0))] = 1.0
-        lp[r, layout.cur(hist_name(cls, 0))] = -1.0
-        stds.append(in_std)
-        r += 1
-    for cls in layout.hist_classes:
-        lp[r, layout.nxt(f"out.{cls}")] = 1.0
-        lp[r, layout.cur(f"out.{cls}")] = -1.0
-        stds.append(rest_std)
-        r += 1
-    blocks.append(LinearRowsModel(lp, np.diag(np.square(stds))))
+    blocks.append(lowpass_prediction(layout, in_std, rest_std))
 
     return StackedModel(blocks)

@@ -4,9 +4,9 @@ Each node keeps a rolling window of time steps (a short past plus an
 eight-step finite horizon), fuses every step's information sources into a
 state estimate, exchanges projected estimates with registered neighbors,
 and, during backpropagation periods, relays loss gradients through the
-fusion Jacobians into parameter, sensor, model and neighbor gradient
-storages. Parameter updates use sign-based adaptive steps within hard
-bounds.
+fusion Jacobians into parameter and neighbor gradient storages and back
+through time to earlier steps. Parameter updates use sign-based adaptive
+steps within hard bounds.
 
 A node is a single-threaded inbox consumer: handle one message at a time,
 then resolve and generate. All cross-node interaction is message passing.
@@ -25,7 +25,6 @@ from .errors import (
     DimensionMismatch,
     FrozenStep,
     GradientOutsidePeriod,
-    MissingFusionResult,
     UnknownAction,
     UnknownNeighbor,
 )
@@ -167,15 +166,11 @@ class TimeStepRecord:
     sent_grad_max: dict = field(default_factory=dict)
     grad_out: dict = field(default_factory=dict)
     grad_params: dict = field(default_factory=dict)
-    grad_sensors: dict = field(default_factory=dict)
-    grad_models: dict = field(default_factory=dict)
 
     def zero_gradients(self):
         self.sent_grad_max.clear()
         self.grad_out.clear()
         self.grad_params.clear()
-        self.grad_sensors.clear()
-        self.grad_models.clear()
 
 
 class Node:
@@ -475,9 +470,9 @@ class Node:
             return
         rec = self.steps[msg.time_stamp]
         if rec.result is None:
-            raise MissingFusionResult(
-                f"step {msg.time_stamp} has no fusion result to backpropagate through"
-            )
+            log.warning("node %s step %d was never fused, dropping gradient from %s",
+                        self.name, msg.time_stamp, msg.sender)
+            return
         reg = self.neighbors[msg.sender]
         if len(msg.gradient) != reg.obs_matrix.shape[0]:
             raise DimensionMismatch(
@@ -488,12 +483,13 @@ class Node:
 
     def _backprop_into_step(self, step: int, grad_x: np.ndarray):
         rec = self.steps[step]
-        if rec.result is None:
-            raise MissingFusionResult(f"step {step} has no fusion result")
         if not np.any(grad_x):
             return
-        chunks = rec.result.jac_chunks
-        for sid, chunk in chunks.items():
+        for sid, chunk in rec.result.jac_chunks.items():
+            # Sensor and model chunks feed no storage: their gradients would
+            # serve model fine-tuning, which this node does not do.
+            if sid not in ("prior", "param") and not sid.startswith("c:"):
+                continue
             g = chunk.T @ grad_x
             if not np.any(g):
                 continue
@@ -510,17 +506,10 @@ class Node:
             elif sid == "param":
                 for row, pname in enumerate(self._param_row_names):
                     rec.grad_params[pname] = rec.grad_params.get(pname, 0.0) + float(g[row])
-            elif sid.startswith("s:"):
-                sensor_id = sid[2:]
-                acc = rec.grad_sensors.get(sensor_id)
-                rec.grad_sensors[sensor_id] = g if acc is None else acc + g
-            elif sid.startswith("c:"):
+            else:
                 nb = sid[2:]
                 acc = rec.grad_out.get(nb)
                 rec.grad_out[nb] = g if acc is None else acc + g
-            else:  # proc / pred model inhomogeneities
-                acc = rec.grad_models.get(sid)
-                rec.grad_models[sid] = g if acc is None else acc + g
 
     def generate_gradient_messages(self) -> list:
         if self.period != PERIOD_BACKPROPAGATION:

@@ -22,6 +22,7 @@ from difftwin.fusion import (
     CiWeights,
     FusionProblem,
     InformationSource,
+    Linearization,
     ci_optimize_weights,
     fuse,
     implicit_jacobian,
@@ -242,7 +243,7 @@ class TestCriterion01ImplicitJacobian:
             problem, x_lin = random_problem(rng)
             x0 = x_lin + 0.05 * rng.standard_normal(problem.dim)
             x_map = solve_map(problem, x0)
-            chunks = implicit_jacobian(problem, x_map)
+            chunks = implicit_jacobian(Linearization(problem, x_map))
             for sid, off, m in problem.offsets:
                 fd = np.zeros((problem.dim, m))
                 for comp in range(m):
@@ -366,7 +367,7 @@ class TestCriterion04CiWeightOptimizer:
             x0 = np.zeros(dim)
             weights = ci_optimize_weights(problem, x0)
             problem.set_weights(weights)
-            got = np.linalg.slogdet(posterior_covariance(problem, x0))[1]
+            got = np.linalg.slogdet(posterior_covariance(Linearization(problem, x0)))[1]
 
             groups = problem.comm_groups()
             best = np.inf
@@ -375,7 +376,8 @@ class TestCriterion04CiWeightOptimizer:
                 for wl in grid:
                     problem.set_weights(CiWeights(w_local=wl, w_comm={groups[0]: 1 - wl}))
                     try:
-                        best = min(best, np.linalg.slogdet(posterior_covariance(problem, x0))[1])
+                        cov = posterior_covariance(Linearization(problem, x0))
+                        best = min(best, np.linalg.slogdet(cov)[1])
                     except Exception:
                         pass
             else:
@@ -388,9 +390,8 @@ class TestCriterion04CiWeightOptimizer:
                             )
                         )
                         try:
-                            best = min(
-                                best, np.linalg.slogdet(posterior_covariance(problem, x0))[1]
-                            )
+                            cov = posterior_covariance(Linearization(problem, x0))
+                            best = min(best, np.linalg.slogdet(cov)[1])
                         except Exception:
                             pass
             worst_gap = max(worst_gap, got - best)

@@ -177,11 +177,11 @@ class TestConveyorTruth:
     def test_input_step_reaches_sorter_one_window_later(self):
         spec = ScenarioSpec("static", duration_s=0, seed=25)
         fac = Facility(spec)
-        mag_in = []
+        mag_in, m_out = [], []
         for _ in range(80):
             r = fac.advance_window()
             mag_in.append(r["mag_in"].total_flow)
-        m_out = [row["readings"]["siever_out_M"].total_flow for row in fac.log_rows]
+            m_out.append(r["siever_out_M"].total_flow)
         a = np.asarray(m_out[5:-3]) - np.mean(m_out[5:-3])
         best_lag, best_corr = None, -np.inf
         for lag in range(0, 4):

@@ -7,12 +7,12 @@ implicit Jacobian, and a simplex grid for the CI weight optimum.
 """
 
 import itertools
-import math
 
 import numpy as np
 import pytest
 
-from difftwin.errors import WellPosednessError
+from difftwin import fusion
+from difftwin.errors import SingularInformation, WellPosednessError
 from difftwin.fusion import (
     KIND_COMMUNICATION,
     KIND_PARAMETER,
@@ -23,7 +23,7 @@ from difftwin.fusion import (
     CiWeights,
     FusionProblem,
     InformationSource,
-    assemble_residual,
+    Linearization,
     ci_optimize_weights,
     fuse,
     implicit_jacobian,
@@ -152,45 +152,19 @@ def random_spd(rng, n, scale=1.0):
 class TestAssemble:
     def test_single_prior_at_mean_zero_residual(self):
         p = scalar_pair_problem()
-        r, _, _ = assemble_residual(p, np.array([1.0, 1.0]))
+        r, _ = p.assemble(np.array([1.0, 1.0]))
         # prior row and sensor row; prediction row is zero at equal blocks
         assert r[p.chunk_slice("prior")][0] == 0.0
 
     def test_hand_computed_whitened_stack(self):
         p = scalar_pair_problem(prior_mean=1.0, prior_var=1.0, sensor_mean=3.0, sensor_var=1.0)
         x = np.array([2.0, 2.0])
-        r, _, _ = assemble_residual(p, x)
+        r, _ = p.assemble(x)
         assert r[p.chunk_slice("prior")][0] == pytest.approx(1.0)
         assert r[p.chunk_slice("s1")][0] == pytest.approx(-1.0)
         # chi2 contribution of the two observation rows
         chi2 = float(r @ r)
         assert chi2 == pytest.approx(2.0)
-
-    def test_beta_jacobian_matches_finite_differences(self):
-        rng = np.random.default_rng(17)
-        p, _ = random_linear_problem(rng, 2)
-        x = rng.standard_normal(4)
-        r0, _, jb = assemble_residual(p, x)
-        h = 1e-6
-        for k in range(p.beta_dim):
-            beta_plus = p.beta.copy()
-            beta_plus[k] += h
-            r_plus = _residual_with_beta(p, x, beta_plus)
-            fd = (r_plus - r0) / h
-            np.testing.assert_allclose(jb[:, k], fd, atol=1e-5)
-
-
-def _residual_with_beta(problem, x, beta):
-    """Re-evaluate the stacked residual for a shifted inhomogeneity vector."""
-    r = np.zeros(problem.beta_dim)
-    for src, (sid, off, m), L in zip(problem.sources, problem.offsets, problem._whiteners):
-        w = math.sqrt(problem.weights.weight_for(src.ci_group))
-        if src.is_model:
-            fx = src.payload.evaluate(x)
-        else:
-            fx = src.payload.matrix @ x
-        r[off : off + m] = w * (L @ (fx - beta[off : off + m]))
-    return r
 
 
 class TestSolveMap:
@@ -213,7 +187,7 @@ class TestSolveMap:
             want_mean, want_cov = gls_oracle(mats, means, covs)
             x = solve_map(p, np.zeros(2 * n_x))
             np.testing.assert_allclose(x, want_mean, rtol=1e-8, atol=1e-8)
-            got_cov = posterior_covariance(p, x)
+            got_cov = posterior_covariance(Linearization(p, x))
             np.testing.assert_allclose(got_cov, want_cov, rtol=1e-8, atol=1e-10)
 
     def test_nonlinear_scalar_root(self):
@@ -247,6 +221,30 @@ class TestSolveMap:
         assert x[1] == pytest.approx(root, abs=1e-6)
         assert abs(x[1] - 2.0) < 1e-3
 
+    def test_uninformed_coordinate_raises_well_posedness_error(self):
+        sources = [
+            InformationSource("prior", KIND_PRIOR, obs([[0.0, 1.0]], 0.0, 1.0)),
+        ]
+        p = FusionProblem(2, sources, coord_names=["next.flow", "cur.flow"])
+        with pytest.raises(WellPosednessError) as err:
+            solve_map(p, np.zeros(2))
+        assert err.value.uninformed == ("next.flow",)
+        assert "next.flow" in str(err.value)
+
+
+class TestLinearization:
+    def test_rank_deficient_system_raises_singular_information(self):
+        # Every coordinate is observed, but only through x0 + x1.
+        collinear = [InformationSource("prior", KIND_PRIOR, obs([[1.0, 1.0]], 0.0, 1.0))]
+        with pytest.raises(SingularInformation):
+            Linearization(FusionProblem(2, collinear), np.zeros(2))
+        # A coordinate with no information at all is named.
+        partial = [InformationSource("prior", KIND_PRIOR, obs([[0.0, 1.0]], 0.0, 1.0))]
+        p = FusionProblem(2, partial, coord_names=["next.flow", "cur.flow"])
+        with pytest.raises(SingularInformation) as err:
+            Linearization(p, np.zeros(2))
+        assert err.value.uninformed == ("next.flow",)
+
 
 class TestPosteriorCovariance:
     def test_two_sensors_information_addition(self):
@@ -257,7 +255,7 @@ class TestPosteriorCovariance:
             InformationSource("b", KIND_SENSOR, obs([[0.0, 1.0]], 1.0, 1.0)),
         ]
         p = FusionProblem(2, sources)
-        cov = posterior_covariance(p, np.array([1.0, 1.0]))
+        cov = posterior_covariance(Linearization(p, np.array([1.0, 1.0])))
         assert cov[1, 1] == pytest.approx(0.5, rel=1e-6)
 
     def test_ci_identical_estimates_stay_at_var_one(self):
@@ -273,7 +271,7 @@ class TestPosteriorCovariance:
             ]
             p = FusionProblem(2, sources)
             p.set_weights(CiWeights(w_local=w, w_comm={"comm:c1": 1.0 - w}))
-            cov = posterior_covariance(p, np.zeros(2))
+            cov = posterior_covariance(Linearization(p, np.zeros(2)))
             assert cov[1, 1] == pytest.approx(1.0, rel=1e-9)
 
 
@@ -296,7 +294,7 @@ class TestCiWeights:
         vals = []
         for wl in np.linspace(0.05, 0.95, 7):
             p.set_weights(CiWeights(w_local=wl, w_comm={"comm:c1": 1.0 - wl}))
-            c = posterior_covariance(p, np.zeros(2))
+            c = posterior_covariance(Linearization(p, np.zeros(2)))
             vals.append(np.linalg.slogdet(c)[1])
         assert max(vals) - min(vals) <= 1e-12
 
@@ -325,7 +323,7 @@ class TestCiWeights:
         x0 = np.zeros(dim)
         w = ci_optimize_weights(p, x0)
         p.set_weights(w)
-        got = np.linalg.slogdet(posterior_covariance(p, x0))[1]
+        got = np.linalg.slogdet(posterior_covariance(Linearization(p, x0)))[1]
 
         best = np.inf
         for wl in np.arange(0.0, 1.0 + 1e-12, 1e-3):
@@ -333,7 +331,7 @@ class TestCiWeights:
                 w2 = 1.0 - wl - w1
                 p.set_weights(CiWeights(w_local=wl, w_comm={"comm:c1": w1, "comm:c2": w2}))
                 try:
-                    val = np.linalg.slogdet(posterior_covariance(p, x0))[1]
+                    val = np.linalg.slogdet(posterior_covariance(Linearization(p, x0)))[1]
                 except Exception:
                     continue
                 best = min(best, val)
@@ -365,7 +363,7 @@ class TestImplicitJacobian:
         ]
         p = FusionProblem(1, sources)
         x = solve_map(p, np.zeros(1))
-        chunks = implicit_jacobian(p, x)
+        chunks = implicit_jacobian(Linearization(p, x))
         # d(MAP)/d(prior mean) = 1
         assert chunks["prior"][0, 0] == pytest.approx(1.0, rel=1e-9)
 
@@ -378,7 +376,7 @@ class TestImplicitJacobian:
         ]
         p = FusionProblem(2, sources)
         x = solve_map(p, np.zeros(2))
-        chunks = implicit_jacobian(p, x)
+        chunks = implicit_jacobian(Linearization(p, x))
         assert chunks["a"][1, 0] == pytest.approx(0.5, rel=1e-6)
         assert chunks["b"][1, 0] == pytest.approx(0.5, rel=1e-6)
 
@@ -396,7 +394,7 @@ class TestImplicitJacobian:
             p = FusionProblem(p.dim, p.sources + [InformationSource("quad", KIND_PROCESS, q)])
             x0 = x_lin + 0.05 * rng.standard_normal(p.dim)
             x_map = solve_map(p, x0)
-            chunks = implicit_jacobian(p, x_map)
+            chunks = implicit_jacobian(Linearization(p, x_map))
             h = 1e-5
             for sid, off, m in p.offsets:
                 src = p.sources[[s.id for s in p.sources].index(sid)]
@@ -462,6 +460,53 @@ class TestFuse:
         res = fuse(p, x0)
         r0, _ = p.assemble(x0)
         assert res.chi2 <= float(r0 @ r0) + 1e-12
+
+    def test_one_assembly_beyond_solve_map(self, monkeypatch):
+        sources = [
+            InformationSource("prior", KIND_PRIOR, obs([[0.0, 1.0]], 0.0, 1.0)),
+            InformationSource("pred", KIND_PREDICTION, LowpassModel(1, 1.0)),
+            InformationSource("c1", KIND_COMMUNICATION, obs([[0.0, 1.0]], 4.0, 1.0)),
+        ]
+        p = FusionProblem(2, sources)
+        calls = {"all": 0, "solve_map": 0}
+        in_solve = [False]
+        assemble, solve = FusionProblem.assemble, fusion.solve_map
+
+        def counting_assemble(problem, x):
+            calls["all"] += 1
+            calls["solve_map"] += in_solve[0]
+            return assemble(problem, x)
+
+        def marking_solve(problem, x0):
+            in_solve[0] = True
+            try:
+                return solve(problem, x0)
+            finally:
+                in_solve[0] = False
+
+        monkeypatch.setattr(FusionProblem, "assemble", counting_assemble)
+        monkeypatch.setattr(fusion, "solve_map", marking_solve)
+        fuse(p, np.zeros(2))
+        assert calls["solve_map"] > 0
+        assert calls["all"] - calls["solve_map"] == 1
+
+    def test_result_equals_fresh_linearization_at_map(self):
+        rng = np.random.default_rng(53)
+        p, _ = random_linear_problem(rng, 2)
+        m_cur = np.hstack([np.zeros((2, 2)), np.eye(2)])
+        p = FusionProblem(
+            4,
+            p.sources
+            + [InformationSource("c1", KIND_COMMUNICATION, obs(m_cur, [1.0, -2.0], np.eye(2)))],
+        )
+        res = fuse(p, np.zeros(4))
+        lin = Linearization(p, res.map)
+        np.testing.assert_array_equal(res.post_cov, posterior_covariance(lin))
+        assert res.chi2 == float(lin.r @ lin.r)
+        fresh = implicit_jacobian(lin)
+        assert res.jac_chunks.keys() == fresh.keys()
+        for sid, chunk in fresh.items():
+            np.testing.assert_array_equal(res.jac_chunks[sid], chunk)
 
     def test_well_posedness_error_names_coordinates(self):
         sources = [

@@ -253,6 +253,17 @@ class TestGradients:
         msgs = node.generate_gradient_messages()
         assert {m.recipient for m in msgs} == {"b"}
 
+    def test_gradient_for_never_fused_step_is_dropped(self, caplog):
+        node = make_node(neighbor_names=("loss", "b"))
+        node.ensure_horizon(0.0)
+        node.handle_control(control_message("loss", "a", ACTION_TO_BACKPROPAGATION))
+        assert node.steps[0].result is None
+        with caplog.at_level("WARNING"):
+            out = node.pump([gradient_message("loss", "a", 0, [1.0])])
+        assert out == []
+        assert node.steps[0].grad_out == {}
+        assert any("never fused" in rec.message for rec in caplog.records)
+
     def test_frozen_map_bitwise_stable(self):
         node = self._backprop_ready_node()
         frozen_map = node.steps[0].result.map.copy()
