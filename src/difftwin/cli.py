@@ -24,7 +24,7 @@ from .models.io import (
     save_json,
     siever_fit_to_dict,
 )
-from .models.mlp import mlp_forward, mlp_train
+from .models.mlp import MLP_EPOCHS, mlp_forward, mlp_train
 from .models.siever import fit_splits, fit_step_response
 from .oracle import oracle_for_scenario
 from .runner import RunConfig, run
@@ -84,7 +84,7 @@ def cmd_sweep(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_HEADER)
         for xi, yi in zip(x, y):
-            writer.writerow([f"{v:.9g}" for v in (*xi, *yi)])
+            writer.writerow([repr(float(v)) for v in (*xi, *yi)])
     print(f"sweep dataset: {len(x)} rows -> {args.out}")
     return 0
 
@@ -173,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--dataset", required=True)
     p_train.add_argument("--out", required=True)
     p_train.add_argument("--seed", type=int, default=123)
-    p_train.add_argument("--epochs", type=int, default=2000)
+    p_train.add_argument("--epochs", type=int, default=MLP_EPOCHS)
     p_train.set_defaults(func=cmd_train_mlp)
 
     p_fit = sub.add_parser("fit-siever", help="fit drum kernels and split curves")

@@ -17,20 +17,6 @@ FM_MIX = ("fm_can", "fm_cap")
 NFM_MIX = ("plastic_bottle", "coffee_cup", "paper_ball", "nfm_cap")
 
 
-def _mix_draw(rng, names, total_flow, dt):
-    """Poisson-sample a mass mix: equal flow share per class in the mix."""
-    masses = {n: a.mass for n in names for a in CATALOG if a.name == n}
-    share = total_flow / len(names)
-    mass_total = 0.0
-    count_total = 0
-    for n in names:
-        lam = share / masses[n] * dt
-        k = int(rng.poisson(lam))
-        mass_total += k * masses[n]
-        count_total += k
-    return mass_total, count_total
-
-
 def magsorter_sweep(
     params: FacilityParams,
     seed: int,

@@ -3,9 +3,9 @@
 One fusion problem stacks whitened residual rows from every information
 source (prior, models, parameters, sensors, neighbor communications),
 solves the MAP by damped Gauss-Newton, chooses covariance-intersection
-weights by determinant minimization, and differentiates the MAP with
-respect to every source value through the implicit function theorem
-(second-order residual terms omitted).
+weights by Newton ascent on the log-determinant of the fused information,
+and differentiates the MAP with respect to every source value through the
+implicit function theorem (second-order residual terms omitted).
 
 At the MAP the stacked system is assembled and its normal matrix factored
 once, in a `Linearization`; the posterior covariance, the chi-square value
@@ -32,7 +32,7 @@ from .errors import (
     SingularNormalEquations,
     WellPosednessError,
 )
-from .gaussian import LinearObservation, symmetrize, whitening_from_cov_fast
+from .gaussian import symmetrize, whitening_from_cov_fast
 
 KIND_PRIOR = "prior"
 KIND_PROCESS = "process_model"
@@ -52,6 +52,11 @@ _GN_GRAD_RTOL = 1e-9
 _LAMBDA_GROW = 2.0
 _LAMBDA_SHRINK = 3.0
 _LAMBDA_MAX = 1e12
+
+_CI_MAX_ITER = 30
+_CI_MAX_BACKTRACK = 30
+_CI_DECREMENT_RTOL = 1e-10
+_ARMIJO = 1e-4
 
 
 def group_for_kind(kind: str, source_id: str) -> str:
@@ -123,17 +128,6 @@ class CiWeights:
         if group == GROUP_PRED:
             return self.w_pred
         return self.w_comm[group]
-
-    def normalized(self) -> "CiWeights":
-        vals = [self.w_local] + list(self.w_comm.values())
-        total = float(sum(vals))
-        if total <= 0.0:
-            raise ValueError("CI weights must have positive sum")
-        return CiWeights(
-            w_local=self.w_local / total,
-            w_comm={k: v / total for k, v in self.w_comm.items()},
-            w_pred=1.0,
-        )
 
 
 def naive_weights(problem: "FusionProblem") -> CiWeights:
@@ -340,104 +334,118 @@ def _group_information(problem: FusionProblem, x):
     groups = {}
     for src, L in zip(problem.sources, problem._whiteners):
         _, j = problem._source_rows(src, L, x)
-        info = j.T @ j
-        if src.ci_group in groups:
-            groups[src.ci_group] = groups[src.ci_group] + info
-        else:
-            groups[src.ci_group] = info
+        groups[src.ci_group] = groups.get(src.ci_group, 0.0) + j.T @ j
     return groups
 
 
 def _logdet_information(base, group_infos, weights_vec):
+    """log det(base + sum w_i I_i) and its Cholesky factor; (-inf, None) if singular."""
     m = base.copy()
     for info, w in zip(group_infos, weights_vec):
         m += w * info
     try:
         chol = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
-        return -np.inf
-    return 2.0 * float(np.sum(np.log(np.diag(chol))))
+        return -np.inf, None
+    return 2.0 * float(np.sum(np.log(np.diag(chol)))), chol
 
 
-def _softmax(z):
-    e = np.exp(z - np.max(z))
-    return e / np.sum(e)
+def _newton_direction(chol, group_infos, w):
+    """Gradient and Newton direction of log det M at w on the free face.
+
+    With M = C C^T and A_i = C^-1 I_i C^-T: g_i = tr A_i = tr(M^-1 I_i) and
+    H_ij = -tr(A_i A_j). A zero coordinate is free when its gradient
+    exceeds the mean over the positive ones, unless the step is negative.
+    """
+    c_inv = np.linalg.inv(chol)
+    a = np.stack([(c_inv @ info @ c_inv.T).ravel() for info in group_infos])
+    g = a[:, :: chol.shape[0] + 1].sum(axis=1)
+    free = (w > 0.0) | (g > np.mean(g[w > 0.0]))
+    while True:
+        # KKT system of the free coordinates under sum(d) = 0, by least
+        # squares: H is singular when two groups carry equal information.
+        idx = np.flatnonzero(free)
+        kkt = np.ones((idx.size + 1, idx.size + 1))
+        kkt[:-1, :-1] = -(a[idx] @ a[idx].T)
+        kkt[-1, -1] = 0.0
+        d = np.zeros(w.size)
+        d[idx] = np.linalg.lstsq(kkt, np.append(-g[idx], 0.0), rcond=None)[0][:-1]
+        stuck = (w <= 0.0) & (d < 0.0)
+        if not stuck.any():
+            return g, d
+        free &= ~stuck
 
 
-def _golden_max(fun, lo, hi, tol=1e-3):
-    """Golden-section maximization of a unimodal scalar function."""
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = fun(c), fun(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = fun(d)
-    return (a + b) / 2.0
+def _armijo_step(base, group_infos, w, d, f, decrement):
+    """Backtracking step along d, capped at the simplex boundary: the
+    accepted (w, f, chol), or None when halving the step 30 times finds no
+    Armijo improvement."""
+    ratio = np.full(w.size, np.inf)
+    ratio[d < 0.0] = -w[d < 0.0] / d[d < 0.0]
+    t = min(1.0, float(np.min(ratio)))
+    for _ in range(_CI_MAX_BACKTRACK):
+        w_try = np.maximum(w + t * d, 0.0)
+        w_try[ratio <= t] = 0.0  # a coordinate that reaches the boundary is exactly 0
+        val, chol = _logdet_information(base, group_infos, w_try)
+        if val >= f + _ARMIJO * t * decrement:
+            return (w_try, val, chol) if val > f else None
+        t *= 0.5
+    return None
 
 
 def ci_optimize_weights(problem: FusionProblem, map_naive) -> CiWeights:
     """Simplex weights minimizing log det of the posterior covariance.
 
-    Weights are parametrized through a softmax over unconstrained reals and
-    optimized by coordinate descent with golden-section line searches; model
-    Jacobians stay frozen at the naive-fusion working point. Ties in the
-    determinant are broken in favor of the largest local weight.
+    Maximizes the concave f(w) = log det M, M = B + sum_i w_i I_i, over the
+    simplex of the local and communication weights: B is the prediction
+    group's information, I_i the unweighted information of group i, with
+    model Jacobians frozen at the naive-fusion working point.
+
+    Active-set Newton ascent from uniform weights. Each iteration factors M
+    once for g_i = tr(M^-1 I_i) and H_ij = -tr(M^-1 I_i M^-1 I_j), solves
+    the KKT system of the free coordinates by least squares, caps the step
+    at the simplex boundary (a coordinate that reaches zero leaves the free
+    set; it re-enters when its gradient exceeds the free set's mean) and
+    backtracks to the Armijo condition. It stops when the Newton decrement
+    g.d is at most 1e-10 * max(1, |f|), when backtracking finds no
+    improvement, or after 30 iterations, and returns the last accepted
+    point (f rises monotonically).
+
+    M singular at uniform weights is singular on the whole open simplex;
+    the pure-local corner is then returned. Ties go to the local group: the
+    corner [1, 0, ...] is returned when it scores within 1e-12 of the best.
     """
-    x = np.asarray(map_naive, dtype=float)
     comm = problem.comm_groups()
     if not comm:
         return CiWeights(w_local=1.0, w_comm={}, w_pred=1.0)
+    group_info = _group_information(problem, np.asarray(map_naive, dtype=float))
+    zeros = np.zeros((problem.dim, problem.dim))
+    base = group_info.get(GROUP_PRED, zeros)
+    infos = [group_info.get(g, zeros) for g in [GROUP_LOCAL] + comm]
+    corner = np.eye(len(infos))[0]
 
-    group_info = _group_information(problem, x)
-    base = group_info.get(GROUP_PRED, np.zeros((problem.dim, problem.dim)))
-    names = [GROUP_LOCAL] + comm
-    infos = [group_info.get(g, np.zeros((problem.dim, problem.dim))) for g in names]
-
-    def objective(z):
-        return _logdet_information(base, infos, _softmax(z))
-
-    z = np.zeros(len(names))
-    best = objective(z)
-    span = 8.0
-    for _ in range(6):
-        improved = False
-        for i in range(len(names)):
-            def line(v, i=i):
-                zz = z.copy()
-                zz[i] = v
-                return objective(zz)
-
-            v_opt = _golden_max(line, z[i] - span, z[i] + span)
-            val = line(v_opt)
-            if val > best + 1e-13:
-                z[i] = v_opt
-                best = val
-                improved = True
-        if not improved:
-            break
-
-    w = _softmax(z)
-    # Tie rule: if the pure-local corner matches the optimum determinant,
-    # return it (largest possible local weight).
-    corner = np.full(len(names), -60.0)
-    corner[0] = 60.0
-    if objective(corner) >= best - 1e-12:
-        w = _softmax(corner)
-
-    weights = CiWeights(
+    w = np.full(len(infos), 1.0 / len(infos))
+    best, chol = _logdet_information(base, infos, w)
+    if chol is None:
+        w = corner
+    else:
+        for _ in range(_CI_MAX_ITER):
+            g, d = _newton_direction(chol, infos, w)
+            decrement = float(g @ d)
+            if decrement <= _CI_DECREMENT_RTOL * max(1.0, abs(best)):
+                break
+            step = _armijo_step(base, infos, w, d, best, decrement)
+            if step is None:
+                break
+            w, best, chol = step
+        if _logdet_information(base, infos, corner)[0] >= best - 1e-12:
+            w = corner
+    w = w / float(sum(w))
+    return CiWeights(
         w_local=float(w[0]),
         w_comm={g: float(w[1 + k]) for k, g in enumerate(comm)},
         w_pred=1.0,
-    ).normalized()
-    return weights
+    )
 
 
 def implicit_jacobian(lin: Linearization) -> dict:

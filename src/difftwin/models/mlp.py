@@ -15,6 +15,9 @@ import numpy as np
 
 from ..errors import TrainingDiverged
 
+# Training length of the sorter network, for `prepare_models` and the CLI.
+MLP_EPOCHS = 4000
+
 
 @dataclass
 class MlpModel:
@@ -73,7 +76,7 @@ def _forward_batch(weights, biases, z):
 
 def mlp_train(
     dataset,
-    epochs: int = 3000,
+    epochs: int = MLP_EPOCHS,
     seed: int = 0,
     hidden=(16, 16),
     learning_rate: float = 1e-2,

@@ -36,7 +36,7 @@ def prepare_models(params: FacilityParams, seed: int) -> tuple:
     """Train the sorter network and fit the drum kernels/splits from
     deterministic facility probes; returns (mlp_doc, siever_fit_doc)."""
     x, y = magsorter_sweep(params, seed=seed)
-    mlp = mlp_train((x, y), epochs=4000, seed=seed, hidden=(16, 16))
+    mlp = mlp_train((x, y), seed=seed, hidden=(16, 16))
     responses = siever_step_response(params, seed=seed + 1)
     kernels = fit_step_response(responses, step_index=4)
     records = siever_speed_sweep(params, seed=seed + 2)

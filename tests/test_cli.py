@@ -1,13 +1,16 @@
 """Command-line interface tests: determinism, argument handling, exit codes."""
 
+import inspect
 import json
 import os
 
 import numpy as np
 import pytest
 
-from difftwin.cli import main
+from difftwin.cli import _read_sweep, build_parser, main
 from difftwin.facility import FacilityParams
+from difftwin.facility.probe import magsorter_sweep
+from difftwin.models import mlp_train
 from difftwin.oracle import oracle_optimum
 
 
@@ -18,6 +21,14 @@ class TestSweepAndTraining:
         assert main(["sweep", "--out", str(a), "--seed", "5"]) == 0
         assert main(["sweep", "--out", str(b), "--seed", "5"]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_sweep_file_reads_back_exactly(self, tmp_path):
+        # train-mlp on the file then trains on the same data as prepare_models.
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--out", str(out), "--seed", "5"]) == 0
+        x, y = magsorter_sweep(FacilityParams(), seed=5)
+        got_x, got_y = _read_sweep(str(out))
+        assert np.array_equal(got_x, x) and np.array_equal(got_y, y)
 
     def test_train_mlp_deterministic_model_file(self, tmp_path):
         data = tmp_path / "sweep.csv"
@@ -32,6 +43,12 @@ class TestSweepAndTraining:
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_train_mlp_epochs_default_matches_prepare_models(self):
+        # One default: the CLI trains as long as prepare_models (via mlp_train).
+        args = build_parser().parse_args(["train-mlp", "--dataset", "d.csv", "--out", "m.json"])
+        assert args.epochs == 4000
+        assert inspect.signature(mlp_train).parameters["epochs"].default == 4000
 
     def test_missing_dataset_is_config_error(self, tmp_path):
         code = main(

@@ -10,6 +10,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from difftwin import fusion
 from difftwin.errors import SingularInformation, WellPosednessError
@@ -275,6 +277,20 @@ class TestPosteriorCovariance:
             assert cov[1, 1] == pytest.approx(1.0, rel=1e-9)
 
 
+def _three_group_problem():
+    """Local, c1 and c2 groups on a 2-D block, drawn from a fixed seed."""
+    rng = np.random.default_rng(31)
+    n_x = 2
+    m_cur = np.hstack([np.zeros((n_x, n_x)), np.eye(n_x)])
+    sources = [
+        InformationSource("prior", KIND_PRIOR, obs(m_cur, rng.standard_normal(n_x), random_spd(rng, n_x))),
+        InformationSource("pred", KIND_PREDICTION, LowpassModel(n_x, 1.0)),
+        InformationSource("c1", KIND_COMMUNICATION, obs(m_cur, rng.standard_normal(n_x), random_spd(rng, n_x))),
+        InformationSource("c2", KIND_COMMUNICATION, obs(m_cur, rng.standard_normal(n_x), random_spd(rng, n_x))),
+    ]
+    return FusionProblem(2 * n_x, sources)
+
+
 class TestCiWeights:
     def test_no_communication_gives_local_one(self):
         p = scalar_pair_problem()
@@ -309,18 +325,8 @@ class TestCiWeights:
         assert w.w_comm["comm:c1"] >= 0.9
 
     def test_grid_oracle_three_groups(self):
-        rng = np.random.default_rng(31)
-        n_x = 2
-        dim = 2 * n_x
-        m_cur = np.hstack([np.zeros((n_x, n_x)), np.eye(n_x)])
-        sources = [
-            InformationSource("prior", KIND_PRIOR, obs(m_cur, rng.standard_normal(n_x), random_spd(rng, n_x))),
-            InformationSource("pred", KIND_PREDICTION, LowpassModel(n_x, 1.0)),
-            InformationSource("c1", KIND_COMMUNICATION, obs(m_cur, rng.standard_normal(n_x), random_spd(rng, n_x))),
-            InformationSource("c2", KIND_COMMUNICATION, obs(m_cur, rng.standard_normal(n_x), random_spd(rng, n_x))),
-        ]
-        p = FusionProblem(dim, sources)
-        x0 = np.zeros(dim)
+        p = _three_group_problem()
+        x0 = np.zeros(p.dim)
         w = ci_optimize_weights(p, x0)
         p.set_weights(w)
         got = np.linalg.slogdet(posterior_covariance(Linearization(p, x0)))[1]
@@ -354,6 +360,106 @@ class TestCiWeights:
         assert w.w_pred == 1.0
         assert w.w_local >= 0.0 and all(v >= 0.0 for v in w.w_comm.values())
         assert w.w_local + sum(w.w_comm.values()) == pytest.approx(1.0, abs=1e-15)
+
+
+    def test_few_log_determinants_per_call(self, monkeypatch):
+        calls = []
+        real = fusion._logdet_information
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(fusion, "_logdet_information", counting)
+        ci_optimize_weights(_three_group_problem(), np.zeros(4))
+        assert 0 < len(calls) <= 20
+
+    def test_dominated_group_gets_exact_zero(self):
+        # c2 carries a quarter of the local information, so weight on it is
+        # better spent on the local group. Local and c1 mirror each other
+        # under swapping the two coordinates, so the optimum (0.5, 0.5, 0)
+        # lies on the grid.
+        m_cur = np.hstack([np.zeros((2, 2)), np.eye(2)])
+        covs = [np.diag([1.0, 50.0]), np.diag([50.0, 1.0]), np.diag([4.0, 200.0])]
+        sources = [
+            InformationSource("prior", KIND_PRIOR, obs(m_cur, [0.0, 0.0], covs[0])),
+            InformationSource("pred", KIND_PREDICTION, LowpassModel(2, 1.0)),
+            InformationSource("c1", KIND_COMMUNICATION, obs(m_cur, [0.0, 0.0], covs[1])),
+            InformationSource("c2", KIND_COMMUNICATION, obs(m_cur, [0.0, 0.0], covs[2])),
+        ]
+        w = ci_optimize_weights(FusionProblem(4, sources), np.zeros(4))
+        assert w.w_comm["comm:c2"] == 0.0
+
+        j_pred = np.hstack([np.eye(2), -np.eye(2)])
+        base = j_pred.T @ j_pred
+        infos = [m_cur.T @ np.linalg.inv(c) @ m_cur for c in covs]
+
+        def logdet(wl, w1, w2):
+            m = base + wl * infos[0] + w1[:, None, None] * infos[1] + w2[:, None, None] * infos[2]
+            return np.linalg.slogdet(m)[1]
+
+        got = logdet(w.w_local, np.array([w.w_comm["comm:c1"]]), np.array([0.0]))[0]
+        best = -np.inf
+        for wl in np.arange(0.0, 1.0 + 1e-12, 1e-3):
+            w1 = np.arange(0.0, 1.0 - wl + 1e-12, 1e-3)
+            best = max(best, float(np.max(logdet(wl, w1, np.maximum(1.0 - wl - w1, 0.0)))))
+        assert abs(got - best) <= 1e-9
+
+    def test_singular_at_uniform_returns_local_corner(self):
+        # Nothing informs x_next, so M is singular on the whole simplex.
+        sources = [
+            InformationSource("prior", KIND_PRIOR, obs([[0.0, 1.0]], 0.0, 1.0)),
+            InformationSource("c1", KIND_COMMUNICATION, obs([[0.0, 1.0]], 1.0, 1.0)),
+        ]
+        w = ci_optimize_weights(FusionProblem(2, sources), np.zeros(2))
+        assert w.w_local == 1.0 and w.w_comm == {"comm:c1": 0.0}
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_x=st.integers(1, 3),
+        n_comm=st.integers(1, 2),
+    )
+    def test_property_simplex_and_no_worse_than_start_or_vertices(self, seed, n_x, n_comm):
+        # Random problems of two or three groups on dims 2-6: a prior on
+        # x_cur, a low-pass prediction and communications observing random
+        # rows of the whole state, so some vertices leave M singular.
+        rng = np.random.default_rng(seed)
+        dim = 2 * n_x
+        m_cur = np.hstack([np.zeros((n_x, n_x)), np.eye(n_x)])
+        pred_var = float(rng.uniform(0.1, 10.0))
+        observations = [obs(m_cur, rng.standard_normal(n_x), random_spd(rng, n_x))]
+        for _ in range(n_comm):
+            rows = int(rng.integers(1, dim + 1))
+            observations.append(
+                obs(rng.standard_normal((rows, dim)), rng.standard_normal(rows), random_spd(rng, rows))
+            )
+        sources = [
+            InformationSource("prior", KIND_PRIOR, observations[0]),
+            InformationSource("pred", KIND_PREDICTION, LowpassModel(n_x, pred_var)),
+        ] + [
+            InformationSource(f"c{i}", KIND_COMMUNICATION, o)
+            for i, o in enumerate(observations[1:])
+        ]
+        w = ci_optimize_weights(FusionProblem(dim, sources), np.zeros(dim))
+
+        vec = np.array([w.w_local] + [w.w_comm[f"comm:c{i}"] for i in range(n_comm)])
+        assert w.w_pred == 1.0
+        assert np.all(vec >= 0.0)
+        assert abs(float(np.sum(vec)) - 1.0) <= 1e-15
+
+        j_pred = np.hstack([np.eye(n_x), -np.eye(n_x)])
+        base = j_pred.T @ j_pred / pred_var
+        infos = [o.matrix.T @ np.linalg.inv(o.value.cov) @ o.matrix for o in observations]
+
+        def f(weights):
+            sign, val = np.linalg.slogdet(base + sum(wi * i for wi, i in zip(weights, infos)))
+            return val if sign > 0 else -np.inf
+
+        k = n_comm + 1
+        starts = [f(np.full(k, 1.0 / k))] + [f(v) for v in np.eye(k)]
+        assert f(vec) >= max(starts) - 1e-12
 
 
 class TestImplicitJacobian:
