@@ -24,7 +24,17 @@ from .models import (
 )
 from .models.io import FORMAT_VERSION, mlp_from_dict, siever_fit_from_dict
 from .models.layouts import MATERIALS, SIZES, StateLayout
-from .node import NeighborRegistration, Node, ParameterSpec, SensorBinding
+from .lossnode import LOSS_COORDS
+from .node import (
+    DEFAULT_DELTA_GRAD,
+    DEFAULT_DELTA_INFO_BITS,
+    DEFAULT_HORIZON,
+    DEFAULT_RETENTION,
+    NeighborRegistration,
+    Node,
+    ParameterSpec,
+    SensorBinding,
+)
 
 SENSOR_EFFECTIVE_MASS = 0.015  # kg; shot-noise scale for total-flow sensors
 FLOW_PRIOR_MEAN = 0.01
@@ -118,10 +128,10 @@ def build_node(config: dict) -> Node:
         parameters=parameters,
         initial_prior=_build_prior(layout, config.get("prior", {}), config.get("parameters", [])),
         dt=float(config.get("dt", 30.0)),
-        horizon=int(config.get("horizon", 8)),
-        retention=int(config.get("retention", 4)),
-        delta_info_bits=float(config.get("delta_info_bits", 1e-6)),
-        delta_grad=float(config.get("delta_grad", 1e-6)),
+        horizon=int(config.get("horizon", DEFAULT_HORIZON)),
+        retention=int(config.get("retention", DEFAULT_RETENTION)),
+        delta_info_bits=float(config.get("delta_info_bits", DEFAULT_DELTA_INFO_BITS)),
+        delta_grad=float(config.get("delta_grad", DEFAULT_DELTA_GRAD)),
     )
 
 
@@ -145,12 +155,7 @@ def _mag_in_rows():
 
 
 def _loss_rows():
-    return [
-        {f"out.{m}.{o}.{p}": 1.0}
-        for m in MATERIALS
-        for o in ("NFM", "FM")
-        for p in SIZES
-    ]
+    return [{coord: 1.0} for coord in LOSS_COORDS]
 
 
 def demo_configs(
@@ -158,18 +163,16 @@ def demo_configs(
     siever_fit_doc: dict,
     initial_speed: float = 12.0,
     initial_height: float = 14.0,
-    delta_info_bits: float = 1e-6,
-    delta_grad: float = 1e-6,
 ) -> dict:
     """Configs for the three-node demo chain plus the loss registration."""
     common = {
         "format_version": FORMAT_VERSION,
         "kind": "node_config",
         "dt": 30.0,
-        "horizon": 8,
-        "retention": 4,
-        "delta_info_bits": delta_info_bits,
-        "delta_grad": delta_grad,
+        "horizon": DEFAULT_HORIZON,
+        "retention": DEFAULT_RETENTION,
+        "delta_info_bits": DEFAULT_DELTA_INFO_BITS,
+        "delta_grad": DEFAULT_DELTA_GRAD,
         "history_len": 8,
     }
     siever = {

@@ -107,23 +107,29 @@ def poisson_instantiate(flows: dict, dt: float, rng, t0: float = 0.0):
 
 
 class _Pending:
-    """Per-stage buffer of articles waiting for their due time."""
+    """Per-stage buffer of articles waiting for their due time, with the
+    siever outlet each article took."""
 
     def __init__(self):
         self.times = np.zeros(0)
         self.classes = np.zeros(0, dtype=int)
+        self.outlets = np.zeros(0, dtype=int)
 
-    def push(self, times, classes):
+    def push(self, times, classes, outlets):
         self.times = np.concatenate([self.times, times])
         self.classes = np.concatenate([self.classes, classes])
+        self.outlets = np.concatenate([self.outlets, outlets])
 
     def pop_due(self, t_end):
+        """(times, classes, outlets) due before t_end, ordered by due time,
+        then class."""
         due = self.times < t_end
-        out = (self.times[due], self.classes[due])
-        self.times, self.classes = self.times[~due], self.classes[~due]
-        # Keep deterministic processing order by due time, then class.
+        out = tuple(c[due] for c in (self.times, self.classes, self.outlets))
+        self.times, self.classes, self.outlets = (
+            c[~due] for c in (self.times, self.classes, self.outlets)
+        )
         order = np.lexsort((out[1], out[0]))
-        return out[0][order], out[1][order]
+        return tuple(c[order] for c in out)
 
     def __len__(self):
         return len(self.times)
@@ -139,9 +145,8 @@ class Facility:
         self.window = 0
         self.dt = STEP_SECONDS
         self.setpoints = {"speed": 12.0, "height": 14.0}
-        self._siever_pending = _Pending()  # due at drum exit; class encodes outlet
-        self._siever_outlets = np.zeros(0, dtype=int)
-        self._mag_pending = _Pending()
+        self._siever_pending = _Pending()  # due at drum exit
+        self._mag_pending = _Pending()  # due at sorter arrival, all from outlet M
         self._instantiated_mass = 0.0
         self._outlet_mass = 0.0
 
@@ -201,23 +206,24 @@ class Facility:
                 if np.any(sel):
                     dead, tau = self.params.residence[o]
                     residence[sel] = dead + self.rng.exponential(tau, int(sel.sum()))
-            self._siever_pending.push(k_times + residence, k_classes)
-            self._siever_outlets = np.concatenate([self._siever_outlets, k_out])
+            self._siever_pending.push(k_times + residence, k_classes, k_out)
 
         # 3. Drum exits due in this window: outlet sensors, M line feeds on.
-        exit_times, exit_classes, exit_outlets = self._pop_siever_due(t_end)
+        exit_times, exit_classes, exit_outlets = self._siever_pending.pop_due(t_end)
         for et, ci, oi in zip(exit_times, exit_classes, exit_outlets):
             counts[f"siever_out_{SIZES[oi]}"][ci] += 1
         m_line = exit_outlets == SIZES.index("M")
         if np.any(m_line):
             self._mag_pending.push(
-                exit_times[m_line] + self.params.conveyor_delay, exit_classes[m_line]
+                exit_times[m_line] + self.params.conveyor_delay,
+                exit_classes[m_line],
+                exit_outlets[m_line],
             )
         done = ~m_line
         self._outlet_mass += sum(CATALOG[ci].mass for ci in exit_classes[done])
 
         # 4. Sorter arrivals due in this window.
-        at, ac = self._mag_pending.pop_due(t_end)
+        at, ac, _ = self._mag_pending.pop_due(t_end)
         if len(at):
             for ci in ac:
                 counts["mag_in"][ci] += 1
@@ -245,17 +251,6 @@ class Facility:
             readings[loc] = SensorReading(location=loc, window=self.window, class_masses=masses)
         self.window += 1
         return readings
-
-    def _pop_siever_due(self, t_end):
-        due = self._siever_pending.times < t_end
-        times = self._siever_pending.times[due]
-        classes = self._siever_pending.classes[due]
-        outlets = self._siever_outlets[due]
-        self._siever_pending.times = self._siever_pending.times[~due]
-        self._siever_pending.classes = self._siever_pending.classes[~due]
-        self._siever_outlets = self._siever_outlets[~due]
-        order = np.lexsort((classes, times))
-        return times[order], classes[order], outlets[order]
 
     # -- accounting -----------------------------------------------------------
 

@@ -11,10 +11,14 @@ At the MAP the stacked system is assembled and its normal matrix factored
 once, in a `Linearization`; the posterior covariance, the chi-square value
 and the implicit Jacobian are all read from that one factor.
 
-Source kinds map to CI weight groups as follows: prior, process model,
-parameter and sensor rows share the single local weight; the prediction
-model is fixed at weight one; every communication source carries its own
-weight. The local and communication weights live on the simplex.
+A source's payload is either a LinearObservation, rows M x with a
+Gaussian value, or a differentiable model, rows f(x) with a Jacobian and
+noise covariance; constant model rows are LinearObservations with a
+zero-mean value. The source kind only picks the CI weight group: prior,
+process model, parameter and sensor rows share the single local weight;
+the prediction rows are fixed at weight one; every communication source
+carries its own weight. The local and communication weights live on the
+simplex.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .errors import (
     SingularNormalEquations,
     WellPosednessError,
 )
-from .gaussian import symmetrize, whitening_from_cov_fast
+from .gaussian import LinearObservation, symmetrize, whitening_from_cov_fast
 
 KIND_PRIOR = "prior"
 KIND_PROCESS = "process_model"
@@ -41,8 +45,14 @@ KIND_PARAMETER = "parameter"
 KIND_SENSOR = "sensor"
 KIND_COMMUNICATION = "communication"
 
-_LINEAR_KINDS = (KIND_PRIOR, KIND_PARAMETER, KIND_SENSOR, KIND_COMMUNICATION)
-_MODEL_KINDS = (KIND_PROCESS, KIND_PREDICTION)
+_KINDS = (
+    KIND_PRIOR,
+    KIND_PROCESS,
+    KIND_PREDICTION,
+    KIND_PARAMETER,
+    KIND_SENSOR,
+    KIND_COMMUNICATION,
+)
 
 GROUP_LOCAL = "local"
 GROUP_PRED = "pred"
@@ -72,41 +82,28 @@ def group_for_kind(kind: str, source_id: str) -> str:
 class InformationSource:
     """One information contribution to a fusion problem.
 
-    payload is a LinearObservation for prior/parameter/sensor/communication
-    sources and a differentiable model (out_dim, noise_cov, evaluate,
-    jacobian) for process/prediction sources.
+    payload is a LinearObservation (matrix, value) or a differentiable
+    model (out_dim, noise_cov, evaluate, jacobian), whatever the kind; the
+    kind only sets ci_group.
     """
 
     id: str
     kind: str
     payload: object
-    ci_group: str = ""
+    ci_group: str = field(init=False)
 
     def __post_init__(self):
-        if self.kind not in _LINEAR_KINDS + _MODEL_KINDS:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown source kind {self.kind!r}")
-        expected = group_for_kind(self.kind, self.id)
-        if not self.ci_group:
-            self.ci_group = expected
-        elif self.ci_group != expected:
-            raise ValueError(
-                f"source {self.id!r} of kind {self.kind} must be in CI group "
-                f"{expected!r}, got {self.ci_group!r}"
-            )
+        self.ci_group = group_for_kind(self.kind, self.id)
 
     @property
     def is_model(self) -> bool:
-        return self.kind in _MODEL_KINDS
+        return not isinstance(self.payload, LinearObservation)
 
     @property
     def out_dim(self) -> int:
         return self.payload.out_dim
-
-    def beta(self) -> np.ndarray:
-        """Inhomogeneity chunk: observed mean, or zeros for models."""
-        if self.is_model:
-            return np.zeros(self.payload.out_dim)
-        return np.asarray(self.payload.value.mean, dtype=float)
 
     def noise_cov(self) -> np.ndarray:
         if self.is_model:
@@ -170,7 +167,6 @@ class FusionProblem:
             self.offsets.append((src.id, off, m))
             off += m
         self.beta_dim = off
-        self.beta = np.concatenate([s.beta() for s in self.sources]) if self.sources else np.zeros(0)
         # Whitening operators are fixed per source (covariances immutable).
         self._whiteners = [whitening_from_cov_fast(s.noise_cov()) for s in self.sources]
         self.weights = naive_weights(self)

@@ -1,4 +1,4 @@
-from .base import DifferentiableModel, LinearRowsModel, StackedModel, fd_jacobian
+from .base import DifferentiableModel, fd_jacobian
 from .conveyor import conveyor_model, delay_interpolation_weights
 from .layouts import (
     HISTORY_SLOTS,
@@ -26,8 +26,6 @@ from .siever import (
 
 __all__ = [
     "DifferentiableModel",
-    "LinearRowsModel",
-    "StackedModel",
     "fd_jacobian",
     "conveyor_model",
     "delay_interpolation_weights",

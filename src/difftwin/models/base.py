@@ -1,13 +1,19 @@
-"""Differentiable model building blocks for fusion residual rows.
+"""Residual rows for fusion: nonlinear models and constant linear rows.
 
-A model exposes out_dim, noise_cov, evaluate(x) and jacobian(x) over the
-concatenated per-step state [x_next; x_cur]. Models are immutable after
-construction and evaluation is pure.
+A nonlinear model exposes out_dim, noise_cov, evaluate(x) and jacobian(x)
+over the concatenated per-step state [x_next; x_cur]. Models are immutable
+after construction and evaluation is pure.
+
+Constant rows A x with zero-mean Gaussian row noise are not models: their
+builders return one LinearObservation, the same type as prior, parameter,
+sensor and communication rows, and `stack_rows` joins several of them.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from ..gaussian import GaussianEstimate, LinearObservation
 
 
 class DifferentiableModel:
@@ -23,43 +29,21 @@ class DifferentiableModel:
         raise NotImplementedError
 
 
-class LinearRowsModel(DifferentiableModel):
-    """Constant-Jacobian rows A x (+ optional offset)."""
-
-    def __init__(self, matrix, noise_cov, offset=None):
-        self.matrix = np.asarray(matrix, dtype=float)
-        self.out_dim = self.matrix.shape[0]
-        self.noise_cov = np.asarray(noise_cov, dtype=float)
-        self.offset = (
-            np.zeros(self.out_dim) if offset is None else np.asarray(offset, dtype=float)
-        )
-
-    def evaluate(self, x):
-        return self.matrix @ x + self.offset
-
-    def jacobian(self, x):
-        return self.matrix
+def linear_rows(matrix, noise_cov) -> LinearObservation:
+    """Rows A x observed as zero with noise covariance noise_cov."""
+    return LinearObservation(matrix, GaussianEstimate(np.zeros(len(matrix)), noise_cov))
 
 
-class StackedModel(DifferentiableModel):
-    """Vertical stack of model blocks with block-diagonal noise."""
-
-    def __init__(self, blocks):
-        self.blocks = list(blocks)
-        self.out_dim = sum(b.out_dim for b in self.blocks)
-        cov = np.zeros((self.out_dim, self.out_dim))
-        off = 0
-        for b in self.blocks:
-            m = b.out_dim
-            cov[off : off + m, off : off + m] = b.noise_cov
-            off += m
-        self.noise_cov = cov
-
-    def evaluate(self, x):
-        return np.concatenate([b.evaluate(x) for b in self.blocks])
-
-    def jacobian(self, x):
-        return np.vstack([b.jacobian(x) for b in self.blocks])
+def stack_rows(blocks) -> LinearObservation:
+    """Vertical stack of row blocks with block-diagonal noise."""
+    out_dim = sum(b.out_dim for b in blocks)
+    cov = np.zeros((out_dim, out_dim))
+    off = 0
+    for b in blocks:
+        m = b.out_dim
+        cov[off : off + m, off : off + m] = b.value.cov
+        off += m
+    return linear_rows(np.vstack([b.matrix for b in blocks]), cov)
 
 
 def fd_jacobian(model: DifferentiableModel, x, h=1e-6) -> np.ndarray:

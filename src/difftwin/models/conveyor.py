@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError
-from .base import LinearRowsModel, StackedModel
+from .base import linear_rows, stack_rows
 from .layouts import STEP_SECONDS, StateLayout, conveyor_layout, hist_name
-from .lowpass import INPUT_STD, REST_STD, SHIFT_STD, lowpass_prediction, shift_register_rows
+from .lowpass import lowpass_prediction, shift_register_rows
 
 OUTPUT_ROW_STD = 1e-3  # slack absorbing window-discretization effects, kg/s
 
@@ -38,17 +38,8 @@ def delay_interpolation_weights(delay: float, history_len: int, dt: float = STEP
     return weights
 
 
-def conveyor_model(
-    history_len: int,
-    delay: float,
-    dt: float = STEP_SECONDS,
-    layout: StateLayout | None = None,
-    shift_std: float = SHIFT_STD,
-    out_std: float = OUTPUT_ROW_STD,
-    in_std: float = INPUT_STD,
-    rest_std: float = REST_STD,
-):
-    """Complete conveyor dynamics as one stacked linear model.
+def conveyor_model(history_len: int, delay: float, layout: StateLayout | None = None):
+    """Complete conveyor dynamics as one block of linear rows.
 
     Rows: per size class, the shift-register relation between adjacent
     steps, the output as the delay-interpolated history of the current
@@ -58,9 +49,7 @@ def conveyor_model(
     layout = layout or conveyor_layout(history_len)
     if layout.history_len != history_len:
         raise ConfigError("history_len disagrees with layout")
-    weights = delay_interpolation_weights(delay, history_len, dt)
-
-    blocks = [shift_register_rows(layout, shift_std)]
+    weights = delay_interpolation_weights(delay, history_len)
 
     n_cls = len(layout.hist_classes)
     interp = np.zeros((n_cls, layout.dim))
@@ -69,8 +58,11 @@ def conveyor_model(
         for h in range(history_len):
             if weights[h] != 0.0:
                 interp[r, layout.cur(hist_name(cls, h))] = -weights[h]
-    blocks.append(LinearRowsModel(interp, out_std**2 * np.eye(n_cls)))
 
-    blocks.append(lowpass_prediction(layout, in_std, rest_std))
-
-    return StackedModel(blocks)
+    return stack_rows(
+        [
+            shift_register_rows(layout),
+            linear_rows(interp, OUTPUT_ROW_STD**2 * np.eye(n_cls)),
+            lowpass_prediction(layout),
+        ]
+    )

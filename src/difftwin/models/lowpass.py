@@ -1,10 +1,10 @@
-"""Prediction-model builders: low-pass rows and shift-register history rows."""
+"""Prediction rows: low-pass restraints and shift-register history rows."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import LinearRowsModel, StackedModel
+from .base import linear_rows, stack_rows
 from .layouts import StateLayout, hist_name
 
 SHIFT_STD = 1e-4  # history bookkeeping noise, kg/s
@@ -12,22 +12,20 @@ INPUT_STD = 1e-2  # change restraint on input flows, kg/s
 REST_STD = 1.0  # change restraint on all other flows, kg/s
 
 
-def lowpass_prediction(layout: StateLayout, std_inputs=INPUT_STD, std_rest=REST_STD):
+def lowpass_prediction(layout: StateLayout, std_inputs=INPUT_STD):
     """Rows x_next - x_cur for every flow coordinate: a weak change
     restraint, tight on inputs and loose elsewhere. Parameters are not
     constrained by prediction."""
     coords = list(layout.input_coords) + list(layout.output_coords)
-    stds = [std_inputs] * len(layout.input_coords) + [std_rest] * len(
-        layout.output_coords
-    )
+    stds = [std_inputs] * len(layout.input_coords) + [REST_STD] * len(layout.output_coords)
     rows = np.zeros((len(coords), layout.dim))
     for r, name in enumerate(coords):
         rows[r, layout.nxt(name)] = 1.0
         rows[r, layout.cur(name)] = -1.0
-    return LinearRowsModel(rows, np.diag(np.square(stds)))
+    return linear_rows(rows, np.diag(np.square(stds)))
 
 
-def shift_register_rows(layout: StateLayout, shift_std=SHIFT_STD):
+def shift_register_rows(layout: StateLayout):
     """Rows next.hist[h+1] - cur.hist[h]: the history moves one slot per
     step, leaving only the newest slot to the low-pass restraint."""
     if not layout.hist_classes:
@@ -40,20 +38,10 @@ def shift_register_rows(layout: StateLayout, shift_std=SHIFT_STD):
             rows[r, layout.nxt(hist_name(cls, h + 1))] = 1.0
             rows[r, layout.cur(hist_name(cls, h))] = -1.0
             r += 1
-    return LinearRowsModel(rows, shift_std**2 * np.eye(n_rows))
+    return linear_rows(rows, SHIFT_STD**2 * np.eye(n_rows))
 
 
-def history_prediction(
-    layout: StateLayout,
-    shift_std=SHIFT_STD,
-    std_inputs=INPUT_STD,
-    std_rest=REST_STD,
-):
-    """Complete prediction model for a machine with input history: shift
+def history_prediction(layout: StateLayout):
+    """Complete prediction rows for a machine with input history: shift
     register plus low-pass restraints on the newest slot and the outputs."""
-    return StackedModel(
-        [
-            shift_register_rows(layout, shift_std),
-            lowpass_prediction(layout, std_inputs, std_rest),
-        ]
-    )
+    return stack_rows([shift_register_rows(layout), lowpass_prediction(layout)])

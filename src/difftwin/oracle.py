@@ -14,14 +14,14 @@ import numpy as np
 
 from .facility.articles import phase_flows
 from .facility.truth import FacilityParams, expected_chain_outputs
-from .lossnode import LossSpec, loss_evaluate
+from .lossnode import LOSS_COORDS, LossSpec, loss_evaluate
 
 _SPEC = LossSpec(node="oracle")
 
 
 def expected_loss(params: FacilityParams, flows: dict, speed: float, height: float) -> float:
     out = expected_chain_outputs(params, flows, speed, height)
-    vec = [out[(m, o, p)] for m in ("NFM", "FM") for o in ("NFM", "FM") for p in ("S", "M", "L")]
+    vec = [out[tuple(coord.split(".")[1:])] for coord in LOSS_COORDS]
     return loss_evaluate(vec, _SPEC)
 
 

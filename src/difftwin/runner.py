@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .configs import LOSS_NODE_NAME, build_node, demo_configs
 from .facility import Facility, FacilityParams, ScenarioSpec
@@ -76,6 +76,15 @@ class WindowRow:
     max_info_per_pair_step: int
     max_info_per_step: int
     siever_grad: float
+
+
+def _csv_cell(value) -> str | int:
+    """One run.csv cell: floats as .9g, None as empty, the rest as is."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.9g}"
+    return value
 
 
 @dataclass
@@ -255,41 +264,9 @@ def run(config: RunConfig) -> RunResult:
 
     with open(run_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "window",
-                "time_s",
-                "phase",
-                "speed",
-                "height",
-                "loss",
-                "info_msgs",
-                "info_rounds",
-                "grad_msgs",
-                "grad_rounds",
-                "max_info_per_pair_step",
-                "max_info_per_step",
-                "siever_grad",
-            ]
-        )
+        writer.writerow([f.name for f in fields(WindowRow)])
         for r in rows:
-            writer.writerow(
-                [
-                    r.window,
-                    f"{r.time_s:.9g}",
-                    r.phase,
-                    f"{r.speed:.9g}",
-                    f"{r.height:.9g}",
-                    "" if r.loss is None else f"{r.loss:.9g}",
-                    r.info_msgs,
-                    r.info_rounds,
-                    r.grad_msgs,
-                    r.grad_rounds,
-                    r.max_info_per_pair_step,
-                    r.max_info_per_step,
-                    f"{r.siever_grad:.9g}",
-                ]
-            )
+            writer.writerow([_csv_cell(getattr(r, f.name)) for f in fields(WindowRow)])
 
     return RunResult(
         rows=rows,

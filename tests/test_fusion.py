@@ -77,6 +77,22 @@ class LowpassModel:
         return np.hstack([np.eye(self.n), -np.eye(self.n)])
 
 
+class RowsModel:
+    """Constant rows A x as a model payload, for comparison with a
+    LinearObservation of the same rows."""
+
+    def __init__(self, matrix, noise_cov):
+        self.matrix = matrix
+        self.out_dim = matrix.shape[0]
+        self.noise_cov = noise_cov
+
+    def evaluate(self, x):
+        return self.matrix @ x
+
+    def jacobian(self, x):
+        return self.matrix
+
+
 def scalar_pair_problem(prior_mean=1.0, prior_var=1.0, sensor_mean=3.0, sensor_var=1.0):
     """Concatenated scalar state [x_next, x_cur]: prior and one sensor on
     x_cur, a low-pass prediction model tying the blocks."""
@@ -167,6 +183,36 @@ class TestAssemble:
         # chi2 contribution of the two observation rows
         chi2 = float(r @ r)
         assert chi2 == pytest.approx(2.0)
+
+    def test_model_kinds_take_linear_rows_bitwise(self):
+        # The payload type, not the kind, decides how rows are evaluated.
+        rng = np.random.default_rng(5)
+        n_x, dim = 3, 6
+        prior = obs(
+            np.hstack([np.zeros((n_x, n_x)), np.eye(n_x)]),
+            rng.standard_normal(n_x),
+            random_spd(rng, n_x),
+        )
+        rows = [
+            (sid, kind, obs(rng.standard_normal((m, dim)), np.zeros(m), random_spd(rng, m)))
+            for sid, kind, m in (("proc", KIND_PROCESS, 2), ("pred", KIND_PREDICTION, n_x))
+        ]
+
+        def problem(as_model):
+            sources = [InformationSource("prior", KIND_PRIOR, prior)]
+            for sid, kind, o in rows:
+                payload = RowsModel(o.matrix, o.value.cov) if as_model else o
+                sources.append(InformationSource(sid, kind, payload))
+            return FusionProblem(dim, sources)
+
+        linear, model = problem(False), problem(True)
+        assert not any(s.is_model for s in linear.sources)
+        assert [s.ci_group for s in linear.sources] == [s.ci_group for s in model.sources]
+        x = rng.standard_normal(dim)
+        r_lin, j_lin = linear.assemble(x)
+        r_mod, j_mod = model.assemble(x)
+        assert np.array_equal(r_lin, r_mod)
+        assert np.array_equal(j_lin, j_mod)
 
 
 class TestSolveMap:

@@ -19,6 +19,7 @@ from difftwin.models import (
     magsorter_model,
     mlp_train,
     siever_layout,
+    shift_register_rows,
     siever_model,
     split_fractions,
 )
@@ -73,21 +74,16 @@ def trained_tiny_mlp(seed=0):
     return mlp_train((x, y), epochs=600, seed=seed, hidden=(8, 8))
 
 
-def all_models():
-    lay_s = siever_layout()
-    lay_c = conveyor_layout()
-    lay_m = magsorter_layout()
+def nonlinear_models():
+    # Linear rows (prediction, conveyor) have their matrix as Jacobian.
     return [
-        ("siever_process", siever_model(default_kernels(), default_splits()), lay_s),
-        ("siever_pred", history_prediction(lay_s), lay_s),
-        ("conveyor", conveyor_model(8, 32.0), lay_c),
-        ("mag_process", magsorter_model(trained_tiny_mlp()), lay_m),
-        ("mag_pred", lowpass_prediction(lay_m), lay_m),
+        ("siever_process", siever_model(default_kernels(), default_splits()), siever_layout()),
+        ("mag_process", magsorter_model(trained_tiny_mlp()), magsorter_layout()),
     ]
 
 
 class TestConformance:
-    @pytest.mark.parametrize("name,model,layout", all_models())
+    @pytest.mark.parametrize("name,model,layout", nonlinear_models())
     def test_jacobian_matches_finite_differences(self, name, model, layout):
         rng = np.random.default_rng(77)
         for _ in range(20):
@@ -119,7 +115,7 @@ class TestConveyor:
         for name in lay.names:
             x[lay.nxt(name)] = 1.0
             x[lay.cur(name)] = 1.0
-        np.testing.assert_allclose(model.evaluate(x), 0.0, atol=1e-12)
+        np.testing.assert_allclose(model.matrix @ x, 0.0, atol=1e-12)
 
     def test_delay_beyond_history_rejected(self):
         with pytest.raises(ConfigError):
@@ -243,29 +239,40 @@ class TestMagsorter:
 
 
 class TestLowpass:
+    def test_history_prediction_stacks_blocks(self):
+        lay = siever_layout()
+        rows = history_prediction(lay)
+        blocks = [shift_register_rows(lay), lowpass_prediction(lay)]
+        assert np.array_equal(rows.matrix, np.vstack([b.matrix for b in blocks]))
+        n = blocks[0].out_dim
+        assert np.array_equal(rows.value.cov[:n, :n], blocks[0].value.cov)
+        assert np.array_equal(rows.value.cov[n:, n:], blocks[1].value.cov)
+        assert not rows.value.cov[:n, n:].any() and not rows.value.cov[n:, :n].any()
+        assert not rows.value.mean.any()
+
     def test_equal_blocks_zero_residual(self):
         lay = magsorter_layout()
         model = lowpass_prediction(lay)
         x = np.arange(lay.dim, dtype=float)
         x[: lay.n] = x[lay.n :]
-        np.testing.assert_allclose(model.evaluate(x), 0.0)
+        np.testing.assert_allclose(model.matrix @ x, 0.0)
 
     def test_unit_jump_whitened_residual_100(self):
         lay = magsorter_layout()
         model = lowpass_prediction(lay)
         x = np.zeros(lay.dim)
         x[lay.nxt("in.NFM.S")] = 1.0
-        r = model.evaluate(x)
+        r = model.matrix @ x
         # whitened by std 1e-2 on input coordinates
         from difftwin.gaussian import whitening_from_cov
 
-        wr = whitening_from_cov(model.noise_cov) @ r
+        wr = whitening_from_cov(model.value.cov) @ r
         assert np.abs(wr).max() == pytest.approx(100.0, rel=1e-6)
 
     def test_jacobian_is_plus_minus_identity_blocks(self):
         lay = magsorter_layout()
         model = lowpass_prediction(lay)
-        jac = model.jacobian(np.zeros(lay.dim))
+        jac = model.matrix
         for r, name in enumerate(
             list(lay.input_coords) + list(lay.output_coords)
         ):
