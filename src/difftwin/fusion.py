@@ -2,10 +2,11 @@
 
 One fusion problem stacks whitened residual rows from every information
 source (prior, models, parameters, sensors, neighbor communications),
-solves the MAP by damped Gauss-Newton, chooses covariance-intersection
-weights by Newton ascent on the log-determinant of the fused information,
-and differentiates the MAP with respect to every source value through the
-implicit function theorem (second-order residual terms omitted).
+solves the MAP by Levenberg-Marquardt with gain-ratio damping, chooses
+covariance-intersection weights by Newton ascent on the log-determinant of
+the fused information, and differentiates the MAP with respect to every
+source value through the implicit function theorem (second-order residual
+terms omitted).
 
 At the MAP the stacked system is assembled and its normal matrix factored
 once, in a `Linearization`; the posterior covariance, the chi-square value
@@ -59,8 +60,7 @@ GROUP_PRED = "pred"
 
 _GN_MAX_ITER = 200
 _GN_GRAD_RTOL = 1e-9
-_LAMBDA_GROW = 2.0
-_LAMBDA_SHRINK = 3.0
+_GN_PRED_RTOL = 1e-14
 _LAMBDA_MAX = 1e12
 
 _CI_MAX_ITER = 30
@@ -224,13 +224,25 @@ class FusionProblem:
 
 
 def solve_map(problem: FusionProblem, x0) -> np.ndarray:
-    """Damped Gauss-Newton minimization of the stacked squared residual.
+    """Levenberg-Marquardt minimization of the stacked squared residual.
 
     Raises WellPosednessError, naming the coordinates, when the Jacobian at
-    x0 has an all-zero column: no source constrains that coordinate. Stops
-    when the max-norm of the chi-square gradient falls below
-    1e-9 * max(1, chi2), or after 200 accepted iterations. The damping
-    parameter doubles on rejected steps and shrinks by 3 on accepted ones.
+    x0 has an all-zero column: no source constrains that coordinate.
+
+    Each trial solves (N + mu I) step = -g with N = J^T J, g = J^T r and
+    mu = lam * mean(diag N), by one Cholesky factorization. The step's
+    predicted chi-square decrease is pred = step^T (mu step - g), and the
+    gain ratio rho = (chi2 - chi2_try) / pred sets the damping (Nielsen
+    1999): a step with finite residual and rho > 0 is accepted and lam is
+    scaled by max(1/3, 1 - (2 rho - 1)^3), floored at 1e-12; otherwise lam
+    is multiplied by nu, which doubles on every consecutive rejection.
+
+    Stops when the max-norm of the chi-square gradient falls below
+    1e-9 * max(1, chi2); when pred <= 1e-14 * chi2, returning x + step
+    without assembling it, since no comparison of chi2 values can resolve
+    a decrease that small; after 200 accepted iterations; or, returning the
+    current point, when a rejected step pushes lam above 1e12. A failed
+    Cholesky factorization at lam above 1e12 raises SingularNormalEquations.
     """
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (problem.dim,):
@@ -251,45 +263,46 @@ def solve_map(problem: FusionProblem, x0) -> np.ndarray:
     if not np.all(np.isfinite(r)):
         raise NonFiniteResidual("residual non-finite at the initial point")
     chi2 = float(r @ r)
-    lam = 1e-10
+    lam, nu = 1e-10, 2.0
     eye = np.eye(problem.dim)
 
     for _ in range(_GN_MAX_ITER):
-        grad = 2.0 * (jac.T @ r)
-        if np.max(np.abs(grad)) <= _GN_GRAD_RTOL * max(1.0, chi2):
+        g = jac.T @ r
+        # The chi-square gradient is 2 g.
+        if 2.0 * np.max(np.abs(g)) <= _GN_GRAD_RTOL * max(1.0, chi2):
             return x
         normal = jac.T @ jac
         scale = max(float(np.mean(np.diag(normal))), 1e-300)
-        accepted = False
-        while not accepted:
+        while True:
+            mu = lam * scale
             try:
-                chol = np.linalg.cholesky(normal + lam * scale * eye)
+                chol = np.linalg.cholesky(normal + mu * eye)
             except np.linalg.LinAlgError:
-                lam *= _LAMBDA_GROW
+                lam, nu = lam * nu, 2.0 * nu
                 if lam > _LAMBDA_MAX:
                     raise SingularNormalEquations(
                         "normal equations not invertible after damping escalation"
                     ) from None
                 continue
-            step = -np.linalg.solve(chol.T, np.linalg.solve(chol, jac.T @ r))
+            step = -np.linalg.solve(chol.T, np.linalg.solve(chol, g))
             x_try = x + step
+            pred = float(step @ (mu * step - g))
+            if pred <= _GN_PRED_RTOL * chi2:
+                # Round-off floor: the decrease is below what chi2 resolves.
+                return x_try
             r_try, jac_try = problem.assemble(x_try)
-            finite = np.all(np.isfinite(r_try))
-            chi2_try = float(r_try @ r_try) if finite else np.inf
-            if finite and chi2_try <= chi2:
-                improvement = chi2 - chi2_try
-                x, r, jac, chi2 = x_try, r_try, jac_try, chi2_try
-                lam = max(lam / _LAMBDA_SHRINK, 1e-12)
-                accepted = True
-                # Round-off floor: no later iteration can do better, so the
-                # outcome equals running out the iteration cap.
-                if improvement <= 1e-14 * max(chi2, 1e-300):
-                    return x
-            else:
-                lam *= _LAMBDA_GROW
-                if lam > _LAMBDA_MAX:
-                    # Flat to machine precision: accept the current point.
-                    return x
+            if np.all(np.isfinite(r_try)):
+                chi2_try = float(r_try @ r_try)
+                rho = (chi2 - chi2_try) / pred
+                if rho > 0.0:
+                    x, r, jac, chi2 = x_try, r_try, jac_try, chi2_try
+                    lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 1e-12)
+                    nu = 2.0
+                    break
+            lam, nu = lam * nu, 2.0 * nu
+            if lam > _LAMBDA_MAX:
+                # Flat to machine precision: accept the current point.
+                return x
     return x
 
 

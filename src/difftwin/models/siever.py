@@ -111,6 +111,29 @@ def _smoothmax1(s):
     return val, dval
 
 
+def _split_arrays(intercepts, slopes, speed):
+    """Split fractions and their speed derivatives as (outlet x size) arrays,
+    for (outlet x size) arrays of split intercepts and slopes."""
+    raw, draw = smooth_clamp(intercepts + slopes * speed)
+    draw = draw * slopes
+    s, ds = raw.sum(axis=0), draw.sum(axis=0)
+    # Renormalization per size class in scalar arithmetic: numpy's array
+    # power may round (s - 1) ** 2 differently from Python's.
+    denom, ddenom, denom2 = (np.empty_like(s) for _ in range(3))
+    for p in range(s.size):
+        d, dd = _smoothmax1(float(s[p]))
+        denom[p], ddenom[p], denom2[p] = d, dd, d**2
+    fractions = raw / denom
+    derivs = (draw * denom - raw * ddenom * ds) / denom2
+    return fractions, derivs
+
+
+def _split_coeff_arrays(coeffs: dict, sizes, outlets):
+    """(outlet x size) arrays of intercepts and slopes from a coefficient dict."""
+    table = np.array([[coeffs[(o, p)] for p in sizes] for o in outlets], dtype=float)
+    return table[..., 0], table[..., 1]
+
+
 def split_fractions(coeffs: dict, speed: float, sizes=SIZES, outlets=OUTLETS_SIEVER):
     """Per-(outlet, size) split fractions at a drum speed.
 
@@ -119,72 +142,64 @@ def split_fractions(coeffs: dict, speed: float, sizes=SIZES, outlets=OUTLETS_SIE
     fractions sum to at most one. Returns (fractions, d/d_speed), both as
     dicts keyed by (outlet, size).
     """
-    fractions, derivs = {}, {}
-    for p in sizes:
-        raw_vals, raw_ds = {}, {}
-        for o in outlets:
-            a, b = coeffs[(o, p)]
-            v, dv = smooth_clamp(a + b * speed)
-            raw_vals[o] = float(v)
-            raw_ds[o] = float(dv) * b
-        s = sum(raw_vals.values())
-        ds = sum(raw_ds.values())
-        denom, ddenom = _smoothmax1(s)
-        for o in outlets:
-            fractions[(o, p)] = raw_vals[o] / denom
-            derivs[(o, p)] = (raw_ds[o] * denom - raw_vals[o] * ddenom * ds) / denom**2
-    return fractions, derivs
+    frac, dfrac = _split_arrays(*_split_coeff_arrays(coeffs, sizes, outlets), speed)
+    keys = [(o, p) for o in outlets for p in sizes]
+    return (
+        dict(zip(keys, frac.ravel().tolist())),
+        dict(zip(keys, dfrac.ravel().tolist())),
+    )
 
 
 class SieverModel(DifferentiableModel):
-    """Within-step outlet rows: out[o][p] = split(speed) * (kernel * history)."""
+    """Within-step outlet rows: out[o][p] = split(speed) * (kernel * history).
+
+    Rows run over (outlet, size) pairs, outlet-major.
+    """
 
     def __init__(self, layout: StateLayout, kernels: dict, split_coeffs: dict, row_std: float):
         self.layout = layout
-        self.kernels = dict(kernels)
-        self.split_coeffs = dict(split_coeffs)
         self.outlets = tuple(OUTLETS_SIEVER)
         self.sizes = tuple(layout.hist_classes)
         for o in self.outlets:
-            if o not in self.kernels:
+            if o not in kernels:
                 raise ConfigError(f"missing residence kernel for outlet {o!r}")
-            if len(self.kernels[o].weights) != layout.history_len:
+            if len(kernels[o].weights) != layout.history_len:
                 raise ConfigError("kernel length disagrees with history length")
         self.out_dim = len(self.outlets) * len(self.sizes)
         self.noise_cov = row_std**2 * np.eye(self.out_dim)
+        self._intercepts, self._slopes = _split_coeff_arrays(
+            split_coeffs, self.sizes, self.outlets
+        )
+        # (outlet x history) kernel weights and (size x history) indices.
+        self._kernel_w = np.stack([kernels[o].weights for o in self.outlets])
         self._speed_ix = layout.cur("speed")
-        self._hist_ix = {
-            p: np.array([layout.cur(hist_name(p, h)) for h in range(layout.history_len)])
-            for p in self.sizes
-        }
-        self._out_ix = {
-            (o, p): layout.cur(f"out.{o}.{p}") for o in self.outlets for p in self.sizes
-        }
+        self._hist_ix = np.array(
+            [[layout.cur(hist_name(p, h)) for h in range(layout.history_len)] for p in self.sizes]
+        )
+        self._out_ix = np.array(
+            [layout.cur(f"out.{o}.{p}") for o in self.outlets for p in self.sizes]
+        )
+        # Per row: the outlet's kernel weights and the size class's history.
+        n_sizes = len(self.sizes)
+        self._row_kernel_w = np.repeat(self._kernel_w, n_sizes, axis=0)
+        self._row_hist_ix = np.tile(self._hist_ix, (len(self.outlets), 1))
 
-    def _rows(self):
-        return [(o, p) for o in self.outlets for p in self.sizes]
+    def _split_and_conv(self, x):
+        frac, dfrac = _split_arrays(self._intercepts, self._slopes, x[self._speed_ix])
+        conv = self._kernel_w @ x[self._hist_ix].T
+        return frac, dfrac, conv
 
     def evaluate(self, x):
-        speed = x[self._speed_ix]
-        frac, _ = split_fractions(self.split_coeffs, speed, self.sizes, self.outlets)
-        r = np.zeros(self.out_dim)
-        for i, (o, p) in enumerate(self._rows()):
-            r[i] = x[self._out_ix[(o, p)]] - frac[(o, p)] * self.evaluate_conv(o, p, x)
-        return r
-
-    def evaluate_conv(self, o, p, x):
-        """Per-outlet kernel convolved with the size class's input history."""
-        return float(self.kernels[o].weights @ x[self._hist_ix[p]])
+        frac, _, conv = self._split_and_conv(x)
+        return x[self._out_ix] - (frac * conv).ravel()
 
     def jacobian(self, x):
-        speed = x[self._speed_ix]
-        frac, dfrac = split_fractions(self.split_coeffs, speed, self.sizes, self.outlets)
+        frac, dfrac, conv = self._split_and_conv(x)
+        rows = np.arange(self.out_dim)
         jac = np.zeros((self.out_dim, self.layout.dim))
-        for i, (o, p) in enumerate(self._rows()):
-            conv = self.evaluate_conv(o, p, x)
-            jac[i, self._out_ix[(o, p)]] = 1.0
-            jac[i, self._hist_ix[p]] = -frac[(o, p)] * self.kernels[o].weights
-            jac[i, self._speed_ix] = -dfrac[(o, p)] * conv
+        jac[rows, self._out_ix] = 1.0
+        jac[rows[:, None], self._row_hist_ix] = -frac.reshape(-1, 1) * self._row_kernel_w
+        jac[rows, self._speed_ix] = -(dfrac * conv).ravel()
         return jac
 
 

@@ -162,6 +162,19 @@ def random_linear_problem(rng, n_x):
     return FusionProblem(dim, sources), (mats, means, covs)
 
 
+def count_assemblies(monkeypatch):
+    """Count FusionProblem.assemble calls in a one-element list."""
+    calls = [0]
+    assemble = FusionProblem.assemble
+
+    def counting_assemble(problem, x):
+        calls[0] += 1
+        return assemble(problem, x)
+
+    monkeypatch.setattr(FusionProblem, "assemble", counting_assemble)
+    return calls
+
+
 def random_spd(rng, n, scale=1.0):
     a = rng.standard_normal((n, n))
     return scale * (a @ a.T + n * np.eye(n))
@@ -278,6 +291,45 @@ class TestSolveMap:
             solve_map(p, np.zeros(2))
         assert err.value.uninformed == ("next.flow",)
         assert "next.flow" in str(err.value)
+
+    def test_linear_problem_takes_two_assemblies(self, monkeypatch):
+        # One assembly at x0, one at the Gauss-Newton step, which lands on
+        # the minimum; the gradient test then stops the solve.
+        calls = count_assemblies(monkeypatch)
+        rng = np.random.default_rng(23)
+        for _ in range(10):
+            n_x = int(rng.integers(1, 4))
+            p, _ = random_linear_problem(rng, n_x)
+            calls[0] = 0
+            solve_map(p, np.zeros(2 * n_x))
+            assert calls[0] == 2
+
+    def test_restart_at_map_stops_at_round_off_floor(self, monkeypatch):
+        # A heavily weighted bilinear row x0 x1 = 1 leaves a gradient above
+        # the gradient test at the MAP, but the predicted decrease of the
+        # next step is below what chi2 can resolve: the solve returns that
+        # step without assembling it.
+        class Bilinear:
+            out_dim = 1
+            noise_cov = np.array([[1e-8]])
+
+            def evaluate(self, x):
+                return np.array([x[0] * x[1] - 1.0])
+
+            def jacobian(self, x):
+                return np.array([[x[1], x[0]]])
+
+        sources = [
+            InformationSource("prior", KIND_PRIOR, obs(np.eye(2), [3.0, 0.1], np.eye(2))),
+            InformationSource("bilinear", KIND_PROCESS, Bilinear()),
+        ]
+        p = FusionProblem(2, sources)
+        x_map = solve_map(p, np.array([3.0, 0.1]))
+        assert x_map[0] * x_map[1] == pytest.approx(1.0, abs=1e-6)
+        calls = count_assemblies(monkeypatch)
+        x_again = solve_map(p, x_map)
+        assert calls[0] == 1
+        np.testing.assert_allclose(x_again, x_map, rtol=0.0, atol=1e-9)
 
 
 class TestLinearization:

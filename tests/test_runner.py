@@ -6,8 +6,10 @@ import os
 import numpy as np
 import pytest
 
+from difftwin import fusion
 from difftwin.configs import build_node, demo_configs
 from difftwin.facility import ScenarioSpec
+from difftwin.models import magsorter_layout, siever_layout
 from difftwin.models.io import mlp_from_dict, siever_fit_from_dict
 from difftwin.runner import RunConfig, run
 
@@ -53,6 +55,37 @@ class TestFlags:
         cfg = short_config(prepared_models, tmp_path)
         res = run(cfg)
         assert res.final_setpoints["height"] != cfg.initial_height
+
+
+class TestSolveBudget:
+    def test_assemblies_per_solve_on_real_models(self, prepared_models, tmp_path, monkeypatch):
+        # Residual assemblies per solve_map call, by node dimension, on a
+        # static run with optimization: the magsorter's network rows need
+        # real damping, the siever's split rows a few iterations.
+        per_dim = {}
+        current = []
+        assemble, solve = fusion.FusionProblem.assemble, fusion.solve_map
+
+        def counting_assemble(problem, x):
+            if current:
+                current[-1] += 1
+            return assemble(problem, x)
+
+        def counting_solve(problem, x0):
+            current.append(0)
+            try:
+                return solve(problem, x0)
+            finally:
+                per_dim.setdefault(problem.dim, []).append(current.pop())
+
+        monkeypatch.setattr(fusion.FusionProblem, "assemble", counting_assemble)
+        monkeypatch.setattr(fusion, "solve_map", counting_solve)
+        run(short_config(prepared_models, tmp_path))
+        mag = per_dim[magsorter_layout().dim]
+        siever = per_dim[siever_layout().dim]
+        assert np.mean(mag) <= 15.0
+        assert max(mag) <= 60
+        assert np.mean(siever) <= 6.0
 
 
 class TestCsvSchema:
