@@ -1,9 +1,12 @@
 """Node configuration documents and builders.
 
-A node config is a plain JSON-serializable dict: identity, machine layout,
+A node config is a plain JSON-serializable dict: identity, machine kind,
 neighbor registrations (exchange rows as coordinate->coefficient maps over
-the current-block state), sensor bindings, parameter bounds, inline model
-documents and thresholds. `build_node` turns a document into a live Node.
+the current-block state), sensor rows, parameter bounds, inline model
+documents and the information-message threshold `delta_info_bits`. Step
+length, horizon, history length, sensor noise, priors and the gradient
+threshold are constants of the node layer. `build_node` turns a document
+into a live Node and rejects any field it does not know.
 """
 
 from __future__ import annotations
@@ -24,32 +27,51 @@ from .models import (
 )
 from .models.io import FORMAT_VERSION, mlp_from_dict, siever_fit_from_dict
 from .models.layouts import MATERIALS, SIZES, StateLayout
-from .lossnode import LOSS_COORDS
+from .lossnode import LOSS_COORDS, LOSS_NODE_NAME
 from .node import (
-    DEFAULT_DELTA_GRAD,
     DEFAULT_DELTA_INFO_BITS,
-    DEFAULT_HORIZON,
-    DEFAULT_RETENTION,
     NeighborRegistration,
     Node,
     ParameterSpec,
     SensorBinding,
 )
 
-SENSOR_EFFECTIVE_MASS = 0.015  # kg; shot-noise scale for total-flow sensors
 FLOW_PRIOR_MEAN = 0.01
 FLOW_PRIOR_VAR = 1.0
 PARAM_PRIOR_VAR = 25.0
 
-LOSS_NODE_NAME = "loss"
 EXCHANGE_SIZES = SIZES
 
+# The fields a node document may carry, at the top level and per entry.
+DOCUMENT_FIELDS = frozenset(
+    {"format_version", "kind", "id", "machine", "models", "delta_info_bits",
+     "neighbors", "sensors", "parameters"}
+)
+ENTRY_FIELDS = {
+    "neighbors": frozenset({"name", "rows"}),
+    "sensors": frozenset({"id", "row"}),
+    "parameters": frozenset({"name", "coord", "lower", "upper", "initial"}),
+}
 
-def _layout_for(machine: str, history_len: int) -> StateLayout:
+
+def _reject_unknown(where: str, doc: dict, known: frozenset):
+    unknown = sorted(set(doc) - known)
+    if unknown:
+        raise ConfigError(f"unknown field(s) in {where}: {', '.join(unknown)}")
+
+
+def _check_fields(config: dict):
+    _reject_unknown("node_config", config, DOCUMENT_FIELDS)
+    for key, known in ENTRY_FIELDS.items():
+        for i, entry in enumerate(config.get(key, [])):
+            _reject_unknown(f"{key}[{i}]", entry, known)
+
+
+def _layout_for(machine: str) -> StateLayout:
     if machine == "siever":
-        return siever_layout(history_len)
+        return siever_layout()
     if machine == "conveyor":
-        return conveyor_layout(history_len)
+        return conveyor_layout()
     if machine == "magsorter":
         return magsorter_layout()
     raise ConfigError(f"unknown machine kind {machine!r}")
@@ -79,33 +101,29 @@ def _build_models(machine: str, layout: StateLayout, models_doc: dict):
     raise ConfigError(f"unknown machine kind {machine!r}")
 
 
-def _build_prior(layout: StateLayout, doc: dict, parameters) -> GaussianEstimate:
-    mean = np.full(layout.n, float(doc.get("flow_mean", FLOW_PRIOR_MEAN)))
-    var = np.full(layout.n, float(doc.get("flow_var", FLOW_PRIOR_VAR)))
+def _build_prior(layout: StateLayout, parameters) -> GaussianEstimate:
+    mean = np.full(layout.n, FLOW_PRIOR_MEAN)
+    var = np.full(layout.n, FLOW_PRIOR_VAR)
     for p in parameters:
-        ix = layout.index(p["coord"])
-        mean[ix] = float(p["initial"])
-        var[ix] = float(doc.get("param_var", PARAM_PRIOR_VAR))
+        ix = layout.index(p.coord)
+        mean[ix] = p.initial
+        var[ix] = PARAM_PRIOR_VAR
     return GaussianEstimate(mean, np.diag(var))
 
 
 def build_node(config: dict) -> Node:
     if config.get("kind") != "node_config" or config.get("format_version") != FORMAT_VERSION:
         raise ConfigError("not a supported node_config document")
+    _check_fields(config)
     machine = config["machine"]
-    layout = _layout_for(machine, int(config.get("history_len", 8)))
+    layout = _layout_for(machine)
     process, prediction = _build_models(machine, layout, config["models"])
     neighbors = [
         NeighborRegistration(nb["name"], row_matrix(layout, nb["rows"]))
         for nb in config.get("neighbors", [])
     ]
     sensors = [
-        SensorBinding(
-            s["id"],
-            row_matrix(layout, [s["row"]]),
-            float(s.get("effective_mass", SENSOR_EFFECTIVE_MASS)),
-            dt=float(config.get("dt", 30.0)),
-        )
+        SensorBinding(s["id"], row_matrix(layout, [s["row"]]))
         for s in config.get("sensors", [])
     ]
     parameters = [
@@ -126,12 +144,8 @@ def build_node(config: dict) -> Node:
         neighbors=neighbors,
         sensors=sensors,
         parameters=parameters,
-        initial_prior=_build_prior(layout, config.get("prior", {}), config.get("parameters", [])),
-        dt=float(config.get("dt", 30.0)),
-        horizon=int(config.get("horizon", DEFAULT_HORIZON)),
-        retention=int(config.get("retention", DEFAULT_RETENTION)),
+        initial_prior=_build_prior(layout, parameters),
         delta_info_bits=float(config.get("delta_info_bits", DEFAULT_DELTA_INFO_BITS)),
-        delta_grad=float(config.get("delta_grad", DEFAULT_DELTA_GRAD)),
     )
 
 
@@ -168,12 +182,7 @@ def demo_configs(
     common = {
         "format_version": FORMAT_VERSION,
         "kind": "node_config",
-        "dt": 30.0,
-        "horizon": DEFAULT_HORIZON,
-        "retention": DEFAULT_RETENTION,
         "delta_info_bits": DEFAULT_DELTA_INFO_BITS,
-        "delta_grad": DEFAULT_DELTA_GRAD,
-        "history_len": 8,
     }
     siever = {
         **common,
@@ -184,13 +193,11 @@ def demo_configs(
             {
                 "id": "siever_in",
                 "row": {f"hist.{p}.0": 1.0 for p in SIZES},
-                "effective_mass": SENSOR_EFFECTIVE_MASS,
             },
             *[
                 {
                     "id": f"siever_out_{o}",
                     "row": {f"out.{o}.{p}": 1.0 for p in SIZES},
-                    "effective_mass": SENSOR_EFFECTIVE_MASS,
                 }
                 for o in SIZES
             ],
@@ -198,7 +205,6 @@ def demo_configs(
         "parameters": [
             {"name": "speed", "coord": "speed", "lower": 5.0, "upper": 21.0, "initial": initial_speed}
         ],
-        "prior": {},
         "models": {"siever_fit": siever_fit_doc},
     }
     conveyor = {
@@ -211,7 +217,6 @@ def demo_configs(
         ],
         "sensors": [],
         "parameters": [],
-        "prior": {},
         "models": {"conveyor": {"delay": 32.0}},
     }
     magsorter = {
@@ -226,23 +231,19 @@ def demo_configs(
             {
                 "id": "mag_in",
                 "row": {f"in.{m}.{p}": 1.0 for m in MATERIALS for p in SIZES},
-                "effective_mass": SENSOR_EFFECTIVE_MASS,
             },
             {
                 "id": "mag_out_FM",
                 "row": {f"out.{m}.FM.{p}": 1.0 for m in MATERIALS for p in SIZES},
-                "effective_mass": SENSOR_EFFECTIVE_MASS,
             },
             {
                 "id": "mag_out_NFM",
                 "row": {f"out.{m}.NFM.{p}": 1.0 for m in MATERIALS for p in SIZES},
-                "effective_mass": SENSOR_EFFECTIVE_MASS,
             },
         ],
         "parameters": [
             {"name": "height", "coord": "height", "lower": 8.0, "upper": 16.0, "initial": initial_height}
         ],
-        "prior": {},
         "models": {"mlp": mlp_doc},
     }
     return {"siever": siever, "conveyor": conveyor, "magsorter": magsorter}

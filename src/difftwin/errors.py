@@ -46,7 +46,7 @@ class ConfigError(DifftwinError):
 
 
 class FrozenStep(DifftwinError):
-    """Mutation attempted on a frozen time step."""
+    """Mutation attempted on a time step frozen by a backpropagation period."""
 
 
 class UnknownNeighbor(DifftwinError):

@@ -23,7 +23,6 @@ def magsorter_sweep(
     heights=None,
     draws_per_height: int = 20,
     windows_per_draw: int = 4,
-    dt: float = STEP_SECONDS,
 ):
     """Training dataset for the sorter network.
 
@@ -38,7 +37,7 @@ def magsorter_sweep(
         heights = np.arange(lo, hi + 1e-9, 0.5)
     x_rows, y_rows = [], []
     masses = {a.name: a.mass for a in CATALOG}
-    span = dt * windows_per_draw
+    span = STEP_SECONDS * windows_per_draw
     for h in heights:
         pc = params.magnet.p_capture(float(h))
         pd = params.magnet.p_drag(float(h))
@@ -78,7 +77,6 @@ def siever_step_response(
     windows: int = 16,
     step_window: int = 4,
     repeats: int = 60,
-    dt: float = STEP_SECONDS,
 ):
     """Averaged per-outlet responses to 0-to-flow input steps.
 
@@ -96,21 +94,21 @@ def siever_step_response(
         p_match = frac[(size, size)]
         for _ in range(repeats):
             for w in range(step_window, windows):
-                t0 = w * dt
-                k = int(rng.poisson(flow / art.mass * dt))
+                t0 = w * STEP_SECONDS
+                k = int(rng.poisson(flow / art.mass * STEP_SECONDS))
                 if not k:
                     continue
                 n_match = int(rng.binomial(k, p_match))
                 if not n_match:
                     continue
-                times = t0 + rng.uniform(0.0, dt, n_match)
+                times = t0 + rng.uniform(0.0, STEP_SECONDS, n_match)
                 dead, tau = params.residence[size]
                 exits = times + dead + rng.exponential(tau, n_match)
                 for te in exits:
-                    wi = int(te // dt)
+                    wi = int(te // STEP_SECONDS)
                     if wi < windows:
                         series[wi] += art.mass
-        responses[size] = series / repeats / dt
+        responses[size] = series / repeats / STEP_SECONDS
     return responses
 
 
@@ -119,7 +117,6 @@ def siever_speed_sweep(
     seed: int,
     speeds=(5.0, 9.0, 13.0, 17.0, 21.0),
     windows: int = 60,
-    dt: float = STEP_SECONDS,
 ):
     """Long-run outlet mass fractions per (speed, size, outlet).
 
@@ -135,7 +132,7 @@ def siever_speed_sweep(
         out_mass = {(o, p): 0.0 for o in SIZES for p in SIZES}
         for _ in range(windows):
             for art in CATALOG:
-                lam = art.flow_static / art.mass * dt
+                lam = art.flow_static / art.mass * STEP_SECONDS
                 k = int(rng.poisson(lam))
                 if not k:
                     continue

@@ -66,7 +66,6 @@ class SensorReading:
     location: str
     window: int
     class_masses: dict
-    dt: float = STEP_SECONDS
 
     @property
     def total_mass(self) -> float:
@@ -74,10 +73,10 @@ class SensorReading:
 
     @property
     def total_flow(self) -> float:
-        return self.total_mass / self.dt
+        return self.total_mass / STEP_SECONDS
 
     def class_flows(self) -> dict:
-        return {k: v / self.dt for k, v in self.class_masses.items()}
+        return {k: v / STEP_SECONDS for k, v in self.class_masses.items()}
 
 
 def poisson_instantiate(flows: dict, dt: float, rng, t0: float = 0.0):
@@ -143,7 +142,6 @@ class Facility:
         self.params = params or FacilityParams()
         self.rng = np.random.default_rng(scenario.seed)
         self.window = 0
-        self.dt = STEP_SECONDS
         self.setpoints = {"speed": 12.0, "height": 14.0}
         self._siever_pending = _Pending()  # due at drum exit
         self._mag_pending = _Pending()  # due at sorter arrival, all from outlet M
@@ -165,8 +163,8 @@ class Facility:
 
     def advance_window(self) -> dict:
         """Simulate one 30 s window; returns readings per sensor location."""
-        t0 = self.window * self.dt
-        t_end = t0 + self.dt
+        t0 = self.window * STEP_SECONDS
+        t_end = t0 + STEP_SECONDS
         flows = self.scenario.flows_at(t0)
         speed = self.setpoints["speed"]
         height = self.setpoints["height"]
@@ -176,7 +174,7 @@ class Facility:
         }
 
         # 1. Poisson instantiation per class, uniform entry phases.
-        times, classes, created = poisson_instantiate(flows, self.dt, self.rng, t0=t0)
+        times, classes, created = poisson_instantiate(flows, STEP_SECONDS, self.rng, t0=t0)
         counts["siever_in"] += created
         self._instantiated_mass += float(
             sum(created[ci] * CATALOG[ci].mass for ci in range(len(CATALOG)))

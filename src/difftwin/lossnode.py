@@ -3,18 +3,19 @@
 The facility is optimized for purity-weighted profit at one sorter: each
 outlet contributes minus squared-purity times its correctly sorted mass
 flow, where purity is the correctly sorted fraction of the outlet's total
-flow. The loss node receives information messages from the target node,
-schedules alternating information/backpropagation periods, and seeds the
-gradient avalanche for the current step.
+flow. Only size class TARGET_SIZE counts as correctly sorted. The loss
+node, named LOSS_NODE_NAME, receives information messages from the target
+node in the LOSS_COORDS exchange format, schedules alternating
+information/backpropagation periods, and seeds the gradient avalanche for
+the current step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError
+from .models.layouts import STEP_SECONDS
 from .protocol import (
     ACTION_TO_BACKPROPAGATION,
     ACTION_TO_INFORMATION,
@@ -25,6 +26,8 @@ from .protocol import (
 )
 
 EPS_FLOW = 1e-9  # kg/s; totals at or below this contribute nothing
+LOSS_NODE_NAME = "loss"
+TARGET_SIZE = "M"  # the size class a sorter outlet is paid for
 
 # Exchange-format coordinate names for the loss: material, outlet, size.
 LOSS_COORDS = tuple(
@@ -32,36 +35,18 @@ LOSS_COORDS = tuple(
 )
 
 
-@dataclass(frozen=True)
-class LossSpec:
-    """Target node and the coordinate names of its exchange format."""
-
-    node: str
-    coords: tuple = LOSS_COORDS
-    target_size: str = "M"
-
-    def __post_init__(self):
-        for m, o in (("NFM", "NFM"), ("FM", "FM")):
-            name = f"out.{m}.{o}.{self.target_size}"
-            if name not in self.coords:
-                raise ConfigError(f"loss coordinate {name!r} missing from exchange format")
-
-    def index(self, name: str) -> int:
-        return self.coords.index(name)
-
-
-def _outlet_terms(spec: LossSpec, outlet: str):
+def _outlet_terms(outlet: str):
     """Indices of (tp_coord, all outlet coords) for one outlet."""
-    tp = spec.index(f"out.{outlet}.{outlet}.{spec.target_size}")
+    tp = LOSS_COORDS.index(f"out.{outlet}.{outlet}.{TARGET_SIZE}")
     total = [
-        spec.index(f"out.{m}.{outlet}.{p}")
+        LOSS_COORDS.index(f"out.{m}.{outlet}.{p}")
         for m in ("NFM", "FM")
         for p in ("S", "M", "L")
     ]
     return tp, total
 
 
-def loss_evaluate(values, spec: LossSpec) -> float:
+def loss_evaluate(values) -> float:
     """Purity-weighted profit, negated: per outlet -(tp/total)^2 * tp.
 
     Outlets whose total flow is at or below EPS_FLOW contribute zero
@@ -70,7 +55,7 @@ def loss_evaluate(values, spec: LossSpec) -> float:
     v = np.asarray(values, dtype=float)
     total_loss = 0.0
     for outlet in ("NFM", "FM"):
-        tp_ix, tot_ix = _outlet_terms(spec, outlet)
+        tp_ix, tot_ix = _outlet_terms(outlet)
         tp = v[tp_ix]
         total = float(np.sum(v[tot_ix]))
         if total <= EPS_FLOW:
@@ -79,13 +64,13 @@ def loss_evaluate(values, spec: LossSpec) -> float:
     return total_loss
 
 
-def loss_gradients(values, spec: LossSpec) -> np.ndarray:
+def loss_gradients(values) -> np.ndarray:
     """Analytic gradient of loss_evaluate with respect to the exchange
     coordinates; zero inside the guarded region."""
     v = np.asarray(values, dtype=float)
-    grad = np.zeros(len(spec.coords))
+    grad = np.zeros(len(LOSS_COORDS))
     for outlet in ("NFM", "FM"):
-        tp_ix, tot_ix = _outlet_terms(spec, outlet)
+        tp_ix, tot_ix = _outlet_terms(outlet)
         tp = v[tp_ix]
         total = float(np.sum(v[tot_ix]))
         if total <= EPS_FLOW:
@@ -107,22 +92,18 @@ class LossNode:
 
     def __init__(
         self,
-        spec: LossSpec,
+        target: str,
         node_names,
-        name: str = "loss",
         switch_interval: float = 15.0,
         activation_delay: float = 300.0,
-        dt: float = 30.0,
     ):
-        self.name = name
-        self.spec = spec
+        self.name = LOSS_NODE_NAME
+        self.target = target
         self.node_names = sorted(node_names)
-        if spec.node not in self.node_names:
-            raise ConfigError(f"loss target {spec.node!r} not among nodes")
+        if target not in self.node_names:
+            raise ConfigError(f"loss target {target!r} not among nodes")
         self.switch_interval = switch_interval
         self.activation_delay = activation_delay
-        self.dt = dt
-        self.enabled = False
         self.period = "information"
         self.estimates: dict[int, np.ndarray] = {}
         self.last_loss: float | None = None
@@ -131,10 +112,10 @@ class LossNode:
     # -- message-side behavior -------------------------------------------
 
     def handle_message(self, msg: Message):
-        if msg.type == TYPE_INFORMATION and msg.sender == self.spec.node:
-            if len(msg.mean) != len(self.spec.coords):
+        if msg.type == TYPE_INFORMATION and msg.sender == self.target:
+            if len(msg.mean) != len(LOSS_COORDS):
                 raise ConfigError(
-                    f"information dim {len(msg.mean)} vs loss format {len(self.spec.coords)}"
+                    f"information dim {len(msg.mean)} vs loss format {len(LOSS_COORDS)}"
                 )
             self.estimates[msg.time_stamp] = np.asarray(msg.mean, dtype=float)
 
@@ -153,8 +134,7 @@ class LossNode:
         backpropagation (with seed gradients for the current step) and
         information periods.
         """
-        self.enabled = now >= self.activation_delay
-        if not self.enabled:
+        if now < self.activation_delay:
             return []
         phase = int(round(now / self.switch_interval))
         to_backprop = phase % 2 == 1
@@ -166,21 +146,21 @@ class LossNode:
         self.period = new_period
         for nb in self.node_names:
             out.append(control_message(self.name, nb, action))
+        step = int(now // STEP_SECONDS)
         if to_backprop:
-            step = int(now // self.dt)
             out.extend(self.seed_gradients(step))
-        self._prune(int(now // self.dt))
+        self._prune(step)
         return out
 
     def seed_gradients(self, step: int) -> list:
         est = self.estimates.get(step)
         if est is None:
             return []
-        self.last_loss = loss_evaluate(est, self.spec)
-        grad = loss_gradients(est, self.spec)
+        self.last_loss = loss_evaluate(est)
+        grad = loss_gradients(est)
         if not np.any(grad):
             return []
-        return [gradient_message(self.name, self.spec.node, step, grad)]
+        return [gradient_message(self.name, self.target, step, grad)]
 
     def _prune(self, current: int):
         for k in [k for k in self.estimates if k < current - 2]:

@@ -12,21 +12,22 @@ from .lowpass import lowpass_prediction, shift_register_rows
 OUTPUT_ROW_STD = 1e-3  # slack absorbing window-discretization effects, kg/s
 
 
-def delay_interpolation_weights(delay: float, history_len: int, dt: float = STEP_SECONDS):
+def delay_interpolation_weights(delay: float, history_len: int):
     """Per-slot weights of the delayed output on the input history.
 
-    Mass entering uniformly over one window and delayed by `delay` lands in
-    slots floor(delay/dt) and the one after, split linearly by the
-    fractional part: weight 1 - frac on the earlier slot, frac on the later.
+    Mass entering uniformly over one 30 s window and delayed by `delay`
+    lands in slots floor(delay/30 s) and the one after, split linearly by
+    the fractional part: weight 1 - frac on the earlier slot, frac on the
+    later.
     """
     if delay < 0:
         raise ConfigError(f"delay must be non-negative, got {delay}")
-    if delay > history_len * dt:
+    if delay > history_len * STEP_SECONDS:
         raise ConfigError(
-            f"delay {delay}s exceeds representable history {history_len * dt}s"
+            f"delay {delay}s exceeds representable history {history_len * STEP_SECONDS}s"
         )
-    k0 = int(delay // dt)
-    frac = delay / dt - k0
+    k0 = int(delay // STEP_SECONDS)
+    frac = delay / STEP_SECONDS - k0
     weights = np.zeros(history_len)
     weights[k0] = 1.0 - frac
     if frac > 0.0:

@@ -45,12 +45,8 @@ class ResidenceKernel:
     weights: np.ndarray
 
     @staticmethod
-    def from_parameters(
-        dead_time: float,
-        tau: float,
-        slots: int,
-        dt: float = STEP_SECONDS,
-    ) -> "ResidenceKernel":
+    def from_parameters(dead_time: float, tau: float, slots: int) -> "ResidenceKernel":
+        dt = STEP_SECONDS
         if dead_time < 0 or tau < 0:
             raise ConfigError("dead_time and tau must be non-negative")
         if dead_time > slots * dt:
@@ -156,7 +152,7 @@ class SieverModel(DifferentiableModel):
     Rows run over (outlet, size) pairs, outlet-major.
     """
 
-    def __init__(self, layout: StateLayout, kernels: dict, split_coeffs: dict, row_std: float):
+    def __init__(self, layout: StateLayout, kernels: dict, split_coeffs: dict):
         self.layout = layout
         self.outlets = tuple(OUTLETS_SIEVER)
         self.sizes = tuple(layout.hist_classes)
@@ -166,7 +162,7 @@ class SieverModel(DifferentiableModel):
             if len(kernels[o].weights) != layout.history_len:
                 raise ConfigError("kernel length disagrees with history length")
         self.out_dim = len(self.outlets) * len(self.sizes)
-        self.noise_cov = row_std**2 * np.eye(self.out_dim)
+        self.noise_cov = OUTLET_ROW_STD**2 * np.eye(self.out_dim)
         self._intercepts, self._slopes = _split_coeff_arrays(
             split_coeffs, self.sizes, self.outlets
         )
@@ -204,19 +200,16 @@ class SieverModel(DifferentiableModel):
 
 
 def siever_model(
-    kernels: dict,
-    split_coeffs: dict,
-    layout: StateLayout | None = None,
-    row_std: float = OUTLET_ROW_STD,
+    kernels: dict, split_coeffs: dict, layout: StateLayout | None = None
 ) -> SieverModel:
     """Gray-box process model relating outlet flows to split(speed) times
     the kernel-convolved input history, per size class and outlet."""
     layout = layout or siever_layout()
-    return SieverModel(layout, kernels, split_coeffs, row_std)
+    return SieverModel(layout, kernels, split_coeffs)
 
 
-def _step_response_sse(response, step_index, dead_time, tau, slots, dt):
-    kernel = ResidenceKernel.from_parameters(dead_time, tau, slots, dt)
+def _step_response_sse(response, step_index, dead_time, tau, slots):
+    kernel = ResidenceKernel.from_parameters(dead_time, tau, slots)
     cum = np.cumsum(kernel.weights)
     predicted = np.zeros_like(response)
     for k in range(len(response)):
@@ -230,12 +223,7 @@ def _step_response_sse(response, step_index, dead_time, tau, slots, dt):
     return float(np.sum((response - predicted) ** 2))
 
 
-def fit_step_response(
-    responses: dict,
-    step_index: int,
-    slots: int = 8,
-    dt: float = STEP_SECONDS,
-) -> dict:
+def fit_step_response(responses: dict, step_index: int, slots: int = 8) -> dict:
     """Recover (dead_time, tau) per outlet from normalized step responses.
 
     responses maps outlet -> flow series for a 0-to-plateau input step at
@@ -250,24 +238,24 @@ def fit_step_response(
             raise FitIllConditioned(f"outlet {outlet!r} step response has no plateau")
         y = y / plateau
 
-        lo_d, hi_d = 0.0, (slots - 1) * dt
-        lo_t, hi_t = 0.1, 2.0 * dt
+        lo_d, hi_d = 0.0, (slots - 1) * STEP_SECONDS
+        lo_t, hi_t = 0.1, 2.0 * STEP_SECONDS
         best = None
         for refine in range(3):
             ds = np.linspace(lo_d, hi_d, 25)
             ts = np.linspace(lo_t, hi_t, 25)
             for d in ds:
                 for t in ts:
-                    sse = _step_response_sse(y, step_index, d, t, slots, dt)
+                    sse = _step_response_sse(y, step_index, d, t, slots)
                     if best is None or sse < best[0]:
                         best = (sse, d, t)
             _, d0, t0 = best
             span_d = (hi_d - lo_d) / 8.0
             span_t = (hi_t - lo_t) / 8.0
-            lo_d, hi_d = max(0.0, d0 - span_d), min((slots - 1) * dt, d0 + span_d)
+            lo_d, hi_d = max(0.0, d0 - span_d), min((slots - 1) * STEP_SECONDS, d0 + span_d)
             lo_t, hi_t = max(0.01, t0 - span_t), t0 + span_t
         _, d0, t0 = best
-        fitted[outlet] = ResidenceKernel.from_parameters(d0, t0, slots, dt)
+        fitted[outlet] = ResidenceKernel.from_parameters(d0, t0, slots)
     return fitted
 
 

@@ -1,12 +1,15 @@
 """Process-node state machine.
 
-Each node keeps a rolling window of time steps (a short past plus an
-eight-step finite horizon), fuses every step's information sources into a
-state estimate, exchanges projected estimates with registered neighbors,
-and, during backpropagation periods, relays loss gradients through the
-fusion Jacobians into parameter and neighbor gradient storages and back
-through time to earlier steps. Parameter updates use sign-based adaptive
-steps within hard bounds.
+Each node keeps a rolling window of 30 s time steps (RETENTION past steps
+plus a HORIZON-step finite horizon), one record per step holding its
+sources, its fusion result and its planned setpoints. It fuses every
+step's information sources into a state estimate, exchanges projected
+estimates with registered neighbors, and, during backpropagation periods,
+relays loss gradients through the fusion Jacobians into parameter and
+neighbor gradient storages and back through time to earlier steps. While
+a backpropagation period lasts, every step is frozen. Parameter updates
+use RProp sign-based adaptive steps (Riedmiller & Braun 1993) within hard
+bounds.
 
 A node is a single-threaded inbox consumer: handle one message at a time,
 then resolve and generate. All cross-node interaction is message passing.
@@ -41,7 +44,7 @@ from .fusion import (
     fuse,
 )
 from .gaussian import GaussianEstimate, LinearObservation, kl_divergence_bits, project
-from .models.layouts import StateLayout
+from .models.layouts import STEP_SECONDS, StateLayout
 from .protocol import (
     ACTION_TO_BACKPROPAGATION,
     ACTION_TO_INFORMATION,
@@ -58,12 +61,20 @@ log = logging.getLogger(__name__)
 PERIOD_INFORMATION = "information"
 PERIOD_BACKPROPAGATION = "backpropagation"
 
-DEFAULT_HORIZON = 8
-DEFAULT_RETENTION = 4
+HORIZON = 8  # steps planned ahead of the current one
+RETENTION = 4  # past steps kept behind the current one
 DEFAULT_DELTA_INFO_BITS = 1e-6
-DEFAULT_DELTA_GRAD = 1e-6
+DELTA_GRAD = 1e-6  # relative threshold on re-sending a neighbor gradient
 PARAM_OBS_STD = 1e-4
 SENSOR_FLOW_FLOOR = 1e-3  # kg/s floor in the sensor variance model
+SENSOR_EFFECTIVE_MASS = 0.015  # kg; shot-noise scale for total-flow sensors
+
+# RProp step adaptation; step sizes are fractions of the parameter's span.
+ETA_PLUS = 1.2
+ETA_MINUS = 0.5
+DELTA_INIT_FRAC = 0.02
+DELTA_MIN_FRAC = 0.001
+DELTA_MAX_FRAC = 0.10
 
 
 @dataclass(frozen=True)
@@ -87,19 +98,17 @@ class NeighborRegistration:
 class SensorBinding:
     """Static observation rows for one flow sensor plus its noise model.
 
-    The variance assigned to a reading is max(flow, floor) * mass / dt:
-    the shot-noise variance of counting articles of effective mass `mass`
-    over one integration window.
+    The variance assigned to a reading is max(flow, floor) * mass / 30 s:
+    the shot-noise variance of counting articles of effective mass
+    SENSOR_EFFECTIVE_MASS over one integration window.
     """
 
     sensor_id: str
     rows: np.ndarray
-    effective_mass: float
-    dt: float = 30.0
 
     def observation(self, values) -> LinearObservation:
         values = np.atleast_1d(np.asarray(values, dtype=float))
-        var = np.maximum(values, SENSOR_FLOW_FLOOR) * self.effective_mass / self.dt
+        var = np.maximum(values, SENSOR_FLOW_FLOOR) * SENSOR_EFFECTIVE_MASS / STEP_SECONDS
         return LinearObservation(
             self.rows, GaussianEstimate(values, np.diag(var))
         )
@@ -112,11 +121,6 @@ class ParameterSpec:
     lower: float
     upper: float
     initial: float
-    eta_plus: float = 1.2
-    eta_minus: float = 0.5
-    delta_init_frac: float = 0.02
-    delta_min_frac: float = 0.001
-    delta_max_frac: float = 0.10
 
     @property
     def span(self) -> float:
@@ -128,12 +132,11 @@ class OptimizerState:
     """Sign-based adaptive step state per parameter."""
 
     spec: ParameterSpec
-    delta: float = 0.0
+    delta: float = field(init=False)
     prev_sign: float = 0.0
 
     def __post_init__(self):
-        if self.delta == 0.0:
-            self.delta = self.spec.delta_init_frac * self.spec.span
+        self.delta = DELTA_INIT_FRAC * self.spec.span
 
     def update(self, value: float, grad: float) -> float:
         """One minimization step: returns the new, bound-clamped value."""
@@ -142,9 +145,9 @@ class OptimizerState:
             self.prev_sign = 0.0
             return value
         if sign * self.prev_sign > 0:
-            self.delta = min(self.delta * self.spec.eta_plus, self.spec.delta_max_frac * self.spec.span)
+            self.delta = min(self.delta * ETA_PLUS, DELTA_MAX_FRAC * self.spec.span)
         elif sign * self.prev_sign < 0:
-            self.delta = max(self.delta * self.spec.eta_minus, self.spec.delta_min_frac * self.spec.span)
+            self.delta = max(self.delta * ETA_MINUS, DELTA_MIN_FRAC * self.spec.span)
         self.prev_sign = sign
         new = value - sign * self.delta
         return min(max(new, self.spec.lower), self.spec.upper)
@@ -152,16 +155,16 @@ class OptimizerState:
 
 @dataclass
 class TimeStepRecord:
-    """One node's bookkeeping for one discrete time step."""
+    """One node's bookkeeping for one discrete time step, including the
+    setpoint planned for it per parameter name."""
 
     index: int
     prior: GaussianEstimate
+    params: dict = field(default_factory=dict)
     sensors: dict = field(default_factory=dict)
     comms: dict = field(default_factory=dict)
     result: FusionResult | None = None
-    stale: bool = False
     dirty: bool = True
-    frozen: bool = False
     sent_cache: dict = field(default_factory=dict)
     sent_grad_max: dict = field(default_factory=dict)
     grad_out: dict = field(default_factory=dict)
@@ -186,11 +189,7 @@ class Node:
         sensors=(),
         parameters=(),
         initial_prior: GaussianEstimate | None = None,
-        dt: float = 30.0,
-        horizon: int = DEFAULT_HORIZON,
-        retention: int = DEFAULT_RETENTION,
         delta_info_bits: float = DEFAULT_DELTA_INFO_BITS,
-        delta_grad: float = DEFAULT_DELTA_GRAD,
     ):
         self.name = name
         self.layout = layout
@@ -202,18 +201,10 @@ class Node:
         self.sensors = {s.sensor_id: s for s in sensors}
         self.parameters = list(parameters)
         self.optimizers = {p.name: OptimizerState(p) for p in self.parameters}
-        self.dt = dt
-        self.horizon = horizon
-        self.retention = retention
         self.delta_info_bits = delta_info_bits
-        self.delta_grad = delta_grad
         self.period = PERIOD_INFORMATION
         self.steps: dict[int, TimeStepRecord] = {}
         self.current_index: int | None = None
-        # Per-step parameter plans; values persist for past steps.
-        self.param_plan: dict[str, dict[int, float]] = {
-            p.name: {} for p in self.parameters
-        }
         n = layout.n
         if initial_prior is None:
             initial_prior = GaussianEstimate(np.zeros(n), np.eye(n))
@@ -247,65 +238,51 @@ class Node:
 
     # -- horizon bookkeeping ---------------------------------------------
 
-    def step_of_time(self, now: float) -> int:
-        return int(now // self.dt)
-
     def ensure_horizon(self, now: float):
-        """Create records up to now + horizon steps; discard old history."""
-        current = self.step_of_time(now)
+        """Create records up to now + HORIZON steps; discard old history.
+        A new record inherits its predecessor's setpoints."""
+        current = int(now // STEP_SECONDS)
         self.current_index = current
         created = []
         if not self.steps:
-            rec = TimeStepRecord(index=current, prior=self.initial_prior)
+            initial = {p.name: p.initial for p in self.parameters}
+            rec = TimeStepRecord(index=current, prior=self.initial_prior, params=initial)
             self.steps[current] = rec
             created.append(rec)
-            for p in self.parameters:
-                self.param_plan[p.name][current] = p.initial
         newest = max(self.steps)
-        for k in range(newest + 1, current + self.horizon + 1):
+        for k in range(newest + 1, current + HORIZON + 1):
             pred = self.steps[k - 1]
-            if pred.result is not None:
-                prior = project(
-                    GaussianEstimate(pred.result.map, pred.result.post_cov),
-                    self._m_pred,
-                )
-            else:
-                prior = pred.prior
-            rec = TimeStepRecord(index=k, prior=prior)
+            prior = pred.prior if pred.result is None else self._next_prior(pred.result)
+            rec = TimeStepRecord(index=k, prior=prior, params=dict(pred.params))
             self.steps[k] = rec
             created.append(rec)
-            for p in self.parameters:
-                plan = self.param_plan[p.name]
-                plan[k] = plan.get(k - 1, p.initial)
-        cutoff = current - self.retention
+        cutoff = current - RETENTION
         for k in [k for k in self.steps if k < cutoff]:
             del self.steps[k]
-            for p in self.parameters:
-                self.param_plan[p.name].pop(k, None)
         return created
 
-    def parameter_value(self, name: str, step: int | None = None) -> float:
-        step = self.current_index if step is None else step
-        plan = self.param_plan[name]
-        if step in plan:
-            return plan[step]
-        return plan[max(plan)] if plan else self._param_spec(name).initial
+    def _next_prior(self, result: FusionResult) -> GaussianEstimate:
+        """Prior of the following step: a posterior's prediction block."""
+        return project(GaussianEstimate(result.map, result.post_cov), self._m_pred)
 
-    def _param_spec(self, name) -> ParameterSpec:
-        for p in self.parameters:
-            if p.name == name:
-                return p
-        raise KeyError(name)
+    def _next_params(self, rec: TimeStepRecord) -> dict:
+        """Setpoints of the step after rec; the newest step plans its own."""
+        return self.steps.get(rec.index + 1, rec).params
 
     def setpoints(self) -> dict:
-        return {p.name: self.parameter_value(p.name) for p in self.parameters}
+        """Setpoints planned for the current step."""
+        rec = self.steps.get(self.current_index)
+        if rec is None:
+            return {p.name: p.initial for p in self.parameters}
+        return dict(rec.params)
+
+    def parameter_value(self, name: str) -> float:
+        return self.setpoints()[name]
 
     # -- source ingestion --------------------------------------------------
 
     def ingest_sensor(self, step: int, sensor_id: str, observation: LinearObservation):
-        rec = self._require_step(step)
-        if rec.frozen:
-            raise FrozenStep(f"step {step} is frozen")
+        rec = self._open_step(step)
         rec.sensors[sensor_id] = observation
         rec.dirty = True
 
@@ -318,6 +295,13 @@ class Node:
         if step not in self.steps:
             raise KeyError(f"node {self.name} has no record for step {step}")
         return self.steps[step]
+
+    def _open_step(self, step: int) -> TimeStepRecord:
+        """The step's record, unless a backpropagation period freezes it."""
+        rec = self._require_step(step)
+        if self.period == PERIOD_BACKPROPAGATION:
+            raise FrozenStep(f"step {step} is frozen")
+        return rec
 
     # -- message handling --------------------------------------------------
 
@@ -350,14 +334,11 @@ class Node:
                 return
             self.period = PERIOD_BACKPROPAGATION
             for rec in self.steps.values():
-                rec.frozen = True
                 rec.zero_gradients()
         elif msg.action == ACTION_TO_INFORMATION:
             if self.period == PERIOD_INFORMATION:
                 return
             self.apply_update()
-            for rec in self.steps.values():
-                rec.frozen = False
             self.period = PERIOD_INFORMATION
             self.resolve_all()
         else:
@@ -374,10 +355,11 @@ class Node:
             sources.append(InformationSource("proc", KIND_PROCESS, self.process_model))
         sources.append(InformationSource("pred", KIND_PREDICTION, self.prediction_model))
         if self.parameters:
+            nxt = self._next_params(rec)
             values = []
             for p in self.parameters:
-                values.append(self.parameter_value(p.name, rec.index))
-                values.append(self.parameter_value(p.name, rec.index + 1))
+                values.append(rec.params[p.name])
+                values.append(nxt[p.name])
             cov = PARAM_OBS_STD**2 * np.eye(len(values))
             sources.append(
                 InformationSource(
@@ -393,9 +375,7 @@ class Node:
         return FusionProblem(lay.dim, sources, coord_names=lay.concat_names())
 
     def resolve_step(self, step: int) -> FusionResult | None:
-        rec = self._require_step(step)
-        if rec.frozen:
-            raise FrozenStep(f"step {step} is frozen")
+        rec = self._open_step(step)
         if not rec.dirty:
             return rec.result
         problem = self._build_problem(rec)
@@ -403,34 +383,32 @@ class Node:
             x0 = rec.result.map
         else:
             x0 = np.concatenate([rec.prior.mean, rec.prior.mean])
+            nxt = self._next_params(rec)
             for p in self.parameters:
-                x0[self.layout.nxt(p.coord)] = self.parameter_value(p.name, step + 1)
-                x0[self.layout.cur(p.coord)] = self.parameter_value(p.name, step)
+                x0[self.layout.nxt(p.coord)] = nxt[p.name]
+                x0[self.layout.cur(p.coord)] = rec.params[p.name]
         try:
             result = fuse(problem, x0)
         except DifftwinError as exc:
-            rec.stale = True
             rec.dirty = False
             log.warning("node %s step %d fusion failed, keeping stale result: %s",
                         self.name, step, exc)
             return rec.result
         rec.result = result
-        rec.stale = False
         rec.dirty = False
         succ = self.steps.get(step + 1)
-        if succ is not None and not succ.frozen:
-            new_prior = project(
-                GaussianEstimate(result.map, result.post_cov), self._m_pred
-            )
+        if succ is not None:
+            new_prior = self._next_prior(result)
             if succ.prior != new_prior:
                 succ.prior = new_prior
                 succ.dirty = True
         return result
 
     def resolve_all(self):
+        if self.period == PERIOD_BACKPROPAGATION:
+            return
         for step in sorted(self.steps):
-            rec = self.steps[step]
-            if rec.dirty and not rec.frozen:
+            if self.steps[step].dirty:
                 self.resolve_step(step)
 
     # -- information messages ------------------------------------------------
@@ -523,7 +501,7 @@ class Node:
                 if magnitude == 0.0:
                     continue
                 sent_max = rec.sent_grad_max.get(nb)
-                if sent_max is not None and magnitude <= self.delta_grad * sent_max:
+                if sent_max is not None and magnitude <= DELTA_GRAD * sent_max:
                     continue
                 rec.sent_grad_max[nb] = max(sent_max or 0.0, magnitude)
                 out.append(gradient_message(self.name, nb, step, pending))
@@ -551,15 +529,13 @@ class Node:
             return deltas
         totals = self.accumulated_parameter_gradients()
         for p in self.parameters:
-            value = self.parameter_value(p.name, self.current_index)
+            value = self.parameter_value(p.name)
             new = self.optimizers[p.name].update(value, totals[p.name])
             deltas[p.name] = new - value
             if new != value:
-                plan = self.param_plan[p.name]
-                for k in self.steps:
-                    if k >= self.current_index:
-                        plan[k] = new
                 for rec in self.steps.values():
+                    if rec.index >= self.current_index:
+                        rec.params[p.name] = new
                     if rec.index >= self.current_index - 1:
                         rec.dirty = True
         return deltas

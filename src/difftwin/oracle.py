@@ -14,15 +14,13 @@ import numpy as np
 
 from .facility.articles import phase_flows
 from .facility.truth import FacilityParams, expected_chain_outputs
-from .lossnode import LOSS_COORDS, LossSpec, loss_evaluate
-
-_SPEC = LossSpec(node="oracle")
+from .lossnode import LOSS_COORDS, loss_evaluate
 
 
 def expected_loss(params: FacilityParams, flows: dict, speed: float, height: float) -> float:
     out = expected_chain_outputs(params, flows, speed, height)
     vec = [out[tuple(coord.split(".")[1:])] for coord in LOSS_COORDS]
-    return loss_evaluate(vec, _SPEC)
+    return loss_evaluate(vec)
 
 
 @dataclass(frozen=True)

@@ -17,19 +17,17 @@ import math
 import os
 from dataclasses import dataclass, field, fields
 
-from .configs import LOSS_NODE_NAME, build_node, demo_configs
+from .configs import build_node, demo_configs
 from .facility import Facility, FacilityParams, ScenarioSpec
-from .facility.articles import CATALOG
+from .facility.articles import article_class
 from .facility.probe import magsorter_sweep, siever_speed_sweep, siever_step_response
-from .lossnode import LossNode, LossSpec
+from .lossnode import LossNode
 from .models.io import mlp_to_dict, siever_fit_to_dict
-from .models.layouts import MATERIALS, SIZES
+from .models.layouts import MATERIALS, SIZES, STEP_SECONDS
 from .models.mlp import mlp_train
 from .models.siever import fit_splits, fit_step_response
 from .protocol import TYPE_GRADIENT, TYPE_INFORMATION
 from .transport import InMemoryBus, TcpHub
-
-SETPOINT_PARAMS = {"siever": ("speed", "speed"), "magsorter": ("height", "height")}
 
 
 def prepare_models(params: FacilityParams, seed: int) -> tuple:
@@ -130,10 +128,9 @@ def _truth_flow(readings, location, article_filter) -> float:
     reading = readings[location]
     total = 0.0
     for name, mass in reading.class_masses.items():
-        art = next(a for a in CATALOG if a.name == name)
-        if article_filter(art):
+        if article_filter(article_class(name)):
             total += mass
-    return total / reading.dt
+    return total / STEP_SECONDS
 
 
 def _setpoints(nodes) -> dict:
@@ -155,9 +152,8 @@ def run(config: RunConfig) -> RunResult:
     )
     activation = config.activation_delay if config.optimize else math.inf
     loss_node = LossNode(
-        LossSpec(node="magsorter"),
+        "magsorter",
         list(node_cfgs),
-        name=LOSS_NODE_NAME,
         switch_interval=config.switch_interval,
         activation_delay=activation,
     )
@@ -171,8 +167,7 @@ def run(config: RunConfig) -> RunResult:
         facility = Facility(config.scenario, config.facility_params)
         truth_maps = {name: _truth_map(cfg["machine"]) for name, cfg in node_cfgs.items()}
 
-        dt = 30.0
-        windows = int(config.scenario.duration_s // dt)
+        windows = int(config.scenario.duration_s // STEP_SECONDS)
         rows = []
         states_path = os.path.join(config.out_dir, "states.csv") if config.write_states else None
         run_path = os.path.join(config.out_dir, "run.csv")
@@ -188,7 +183,7 @@ def run(config: RunConfig) -> RunResult:
         max_grad_rounds = 0
         final = {"speed": config.initial_speed, "height": config.initial_height}
         for k in range(windows + 1):
-            t0 = k * dt
+            t0 = k * STEP_SECONDS
             for name in sorted(nodes):
                 nodes[name].ensure_horizon(t0)
 
@@ -215,16 +210,16 @@ def run(config: RunConfig) -> RunResult:
                         if coord in tm:
                             loc, flt = tm[coord]
                             truth = f"{_truth_flow(readings_prev, loc, flt):.9g}"
-                        states_writer.writerow(
-                            [k - 1, t0 - dt, name, coord, f"{mean:.9g}", f"{std:.9g}", truth]
-                        )
+                        states_writer.writerow([
+                            k - 1, t0 - STEP_SECONDS, name, coord, f"{mean:.9g}", f"{std:.9g}", truth
+                        ])
 
             if k == windows:
                 break
 
             # Push setpoints and simulate window k.
             for (name, pname), value in sorted(_setpoints(nodes).items()):
-                facility.set_setpoint(SETPOINT_PARAMS[name][1], value)
+                facility.set_setpoint(pname, value)
             readings_prev = facility.advance_window()
 
             # Backpropagation half-period in the middle of the window.

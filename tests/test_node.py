@@ -8,6 +8,9 @@ from difftwin.gaussian import GaussianEstimate, LinearObservation, kl_divergence
 from difftwin.models.layouts import StateLayout
 from difftwin.models.lowpass import lowpass_prediction
 from difftwin.node import (
+    DELTA_MAX_FRAC,
+    PERIOD_BACKPROPAGATION,
+    RETENTION,
     NeighborRegistration,
     Node,
     OptimizerState,
@@ -89,7 +92,7 @@ class TestHorizon:
         node.ensure_horizon(0.0)
         for t in range(1, 12):
             node.ensure_horizon(30.0 * t)
-        assert min(node.steps) == node.current_index - node.retention
+        assert min(node.steps) == node.current_index - RETENTION
 
 
 class TestIngest:
@@ -121,7 +124,7 @@ class TestIngest:
         lay = tank_layout()
         row = np.zeros((1, lay.dim))
         row[0, lay.cur("flow")] = 1.0
-        binding = SensorBinding("s1", row, effective_mass=0.015)
+        binding = SensorBinding("s1", row)
         obs = binding.observation([0.06])
         assert obs.value.cov[0, 0] == pytest.approx(0.06 * 0.015 / 30.0)
 
@@ -279,7 +282,7 @@ class TestControl:
         node.resolve_all()
         node.steps[0].grad_params["x"] = 1.0
         node.handle_control(control_message("loss", "a", ACTION_TO_BACKPROPAGATION))
-        assert all(rec.frozen for rec in node.steps.values())
+        assert node.period == PERIOD_BACKPROPAGATION
         assert node.steps[0].grad_params == {}
 
     def test_repeated_command_idempotent(self):
@@ -335,7 +338,7 @@ class TestRProp:
             if value >= spec.upper:
                 break
         assert deltas[1] == pytest.approx(deltas[0] * 1.2)
-        assert max(deltas) <= spec.delta_max_frac * spec.span + 1e-12
+        assert max(deltas) <= DELTA_MAX_FRAC * spec.span + 1e-12
 
     def test_bound_clamped_exactly(self):
         spec = self.spec()
@@ -360,3 +363,43 @@ class TestRProp:
         node.resolve_all()
         deltas = node.apply_update()
         assert deltas == {"knob": 0.0}
+
+
+class TestPlannedSetpoints:
+    def _updated_node(self):
+        # Records 0..9 with step 1 current; a positive gradient pushes knob down.
+        node = make_node(neighbor_names=("loss",), with_param=True)
+        node.ensure_horizon(0.0)
+        node.ensure_horizon(30.0)
+        node.resolve_all()
+        node.steps[1].grad_params["knob"] = 2.5
+        deltas = node.apply_update()
+        assert deltas["knob"] < 0.0
+        return node, 11.0 + deltas["knob"]
+
+    @staticmethod
+    def _param_values(node, rec):
+        (src,) = [s for s in node._build_problem(rec).sources if s.id == "param"]
+        return list(src.payload.value.mean)
+
+    def test_update_rewrites_current_and_later_records_only(self):
+        node, new = self._updated_node()
+        assert node.current_index == 1
+        assert node.steps[0].params == {"knob": 11.0}
+        for k in range(1, max(node.steps) + 1):
+            assert node.steps[k].params == {"knob": new}
+        assert node.parameter_value("knob") == new
+
+    def test_new_record_inherits_updated_value(self):
+        node, new = self._updated_node()
+        created = node.ensure_horizon(60.0)
+        assert [rec.index for rec in created] == [10]
+        assert created[0].params == {"knob": new}
+
+    def test_param_source_reads_own_and_successor_records(self):
+        node, new = self._updated_node()
+        assert self._param_values(node, node.steps[0]) == [11.0, new]
+        newest = node.steps[max(node.steps)]
+        newest.params["knob"] = 12.5
+        assert self._param_values(node, newest) == [12.5, 12.5]
+        assert self._param_values(node, node.steps[newest.index - 1]) == [new, 12.5]

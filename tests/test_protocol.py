@@ -10,7 +10,6 @@ from difftwin.errors import MalformedMessage
 from difftwin.lossnode import (
     LOSS_COORDS,
     LossNode,
-    LossSpec,
     loss_evaluate,
     loss_gradients,
 )
@@ -161,54 +160,51 @@ class TestSchema:
 
 
 def loss_values(**overrides):
-    spec = LossSpec(node="mag")
-    v = np.zeros(len(spec.coords))
+    v = np.zeros(len(LOSS_COORDS))
     for name, val in overrides.items():
-        v[spec.index(name)] = val
-    return spec, v
+        v[LOSS_COORDS.index(name)] = val
+    return v
 
 
 class TestLoss:
     def test_pure_outputs(self):
         # purity one at both outlets: loss is minus the sum of correct flows
-        spec, v = loss_values(**{"out.NFM.NFM.M": 0.02, "out.FM.FM.M": 0.03})
-        assert loss_evaluate(v, spec) == pytest.approx(-0.05)
+        v = loss_values(**{"out.NFM.NFM.M": 0.02, "out.FM.FM.M": 0.03})
+        assert loss_evaluate(v) == pytest.approx(-0.05)
 
     def test_half_purity_quarter_term(self):
         # correct flow 1 with purity 1/2 contributes -(1/2)^2 * 1 = -0.25
-        spec, v = loss_values(**{"out.NFM.NFM.M": 1.0, "out.FM.NFM.S": 1.0})
-        assert loss_evaluate(v, spec) == pytest.approx(-0.25)
+        v = loss_values(**{"out.NFM.NFM.M": 1.0, "out.FM.NFM.S": 1.0})
+        assert loss_evaluate(v) == pytest.approx(-0.25)
 
     def test_all_zero_guarded(self):
-        spec, v = loss_values()
-        assert loss_evaluate(v, spec) == 0.0
-        np.testing.assert_array_equal(loss_gradients(v, spec), 0.0)
+        v = loss_values()
+        assert loss_evaluate(v) == 0.0
+        np.testing.assert_array_equal(loss_gradients(v), 0.0)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
-        spec = LossSpec(node="mag")
         for _ in range(30):
-            v = rng.uniform(0.001, 0.05, len(spec.coords))
-            grad = loss_gradients(v, spec)
+            v = rng.uniform(0.001, 0.05, len(LOSS_COORDS))
+            grad = loss_gradients(v)
             h = 1e-7
             for k in range(len(v)):
                 vp, vm = v.copy(), v.copy()
                 vp[k] += h
                 vm[k] -= h
-                fd = (loss_evaluate(vp, spec) - loss_evaluate(vm, spec)) / (2 * h)
+                fd = (loss_evaluate(vp) - loss_evaluate(vm)) / (2 * h)
                 assert grad[k] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
     def test_gradient_references_target_coords_only(self):
-        spec, v = loss_values(**{"out.NFM.NFM.M": 0.02, "out.FM.FM.M": 0.03})
-        grad = loss_gradients(v, spec)
+        v = loss_values(**{"out.NFM.NFM.M": 0.02, "out.FM.FM.M": 0.03})
+        grad = loss_gradients(v)
         assert grad.shape == (len(LOSS_COORDS),)
         assert np.any(grad != 0.0)
 
 
 class TestScheduler:
     def make_loss(self, activation=300.0):
-        spec = LossSpec(node="mag")
-        return LossNode(spec, ["siever", "conveyor", "mag"], activation_delay=activation)
+        return LossNode("mag", ["siever", "conveyor", "mag"], activation_delay=activation)
 
     def test_disabled_emits_nothing(self):
         ln = self.make_loss(activation=1e9)

@@ -8,6 +8,7 @@ import pytest
 
 from difftwin import fusion
 from difftwin.configs import build_node, demo_configs
+from difftwin.errors import ConfigError
 from difftwin.facility import ScenarioSpec
 from difftwin.models import magsorter_layout, siever_layout
 from difftwin.models.io import mlp_from_dict, siever_fit_from_dict
@@ -110,6 +111,18 @@ class TestConfigs:
             node = build_node(doc)
             assert node.name == name
             assert node.layout.dim == node.initial_prior.dim * 2
+
+    @pytest.mark.parametrize(
+        "entry, key",
+        [(None, "horizon"), ("neighbors", "weight"), ("sensors", "effective_mass"),
+         ("parameters", "eta_plus")],
+    )
+    def test_unknown_field_rejected(self, prepared_models, entry, key):
+        mlp_doc, fit_doc = prepared_models
+        doc = json.loads(json.dumps(demo_configs(mlp_doc, fit_doc)["siever"]))
+        (doc if entry is None else doc[entry][0])[key] = 4
+        with pytest.raises(ConfigError, match=key):
+            build_node(doc)
 
     def test_model_docs_round_trip(self, prepared_models):
         mlp_doc, fit_doc = prepared_models
