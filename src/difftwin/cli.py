@@ -32,32 +32,60 @@ from .runner import RunConfig, run
 SWEEP_HEADER = ["in_fm", "in_nfm", "height", "tp_fm", "fp_fm", "tp_nfm", "fp_nfm"]
 
 
+# Where each key of a run document goes: (ScenarioSpec or RunConfig, field,
+# converter). A key the document leaves out keeps the dataclass default.
+_RUN_DOC_KEYS = {
+    "scenario": (ScenarioSpec, "name", str),
+    "seed": (ScenarioSpec, "seed", int),
+    "duration_s": (ScenarioSpec, "duration_s", float),
+    "phase_period_s": (ScenarioSpec, "phase_period_s", float),
+    "out": (RunConfig, "out_dir", str),
+    "transport": (RunConfig, "transport", str),
+    "optimize": (RunConfig, "optimize", bool),
+    "activation_delay_s": (RunConfig, "activation_delay", float),
+    "switch_interval_s": (RunConfig, "switch_interval", float),
+    "initial_speed": (RunConfig, "initial_speed", float),
+    "initial_height": (RunConfig, "initial_height", float),
+    "model_seed": (RunConfig, "model_seed", int),
+}
+# The CLI's own values for the fields the dataclasses require.
+_RUN_DOC_REQUIRED = {"scenario": "static", "seed": 7, "duration_s": 2400.0, "out": "runs/latest"}
+# Document key -> the `run` flag that overrides it.
+_RUN_FLAGS = {
+    "scenario": "scenario",
+    "seed": "seed",
+    "duration_s": "duration",
+    "transport": "transport",
+    "out": "out",
+}
+
+
 def _load_run_config(args) -> RunConfig:
     doc = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             doc = json.load(fh)
-    scenario_name = args.scenario or doc.get("scenario", "static")
-    seed = args.seed if args.seed is not None else int(doc.get("seed", 7))
-    duration = args.duration if args.duration is not None else float(doc.get("duration_s", 2400.0))
-    spec = ScenarioSpec(
-        scenario_name,
-        duration_s=duration,
-        seed=seed,
-        phase_period_s=float(doc.get("phase_period_s", 600.0)),
-    )
-    out_dir = args.out or doc.get("out", "runs/latest")
-    cfg = RunConfig(
-        scenario=spec,
-        out_dir=out_dir,
-        transport=args.transport or doc.get("transport", "memory"),
-        optimize=not args.no_optimize and doc.get("optimize", True),
-        activation_delay=float(doc.get("activation_delay_s", 300.0)),
-        switch_interval=float(doc.get("switch_interval_s", 15.0)),
-        initial_speed=float(doc.get("initial_speed", 12.0)),
-        initial_height=float(doc.get("initial_height", 14.0)),
-        model_seed=int(doc.get("model_seed", 123)),
-    )
+    if not isinstance(doc, dict):
+        raise ConfigError(f"run config {args.config} must be a JSON object")
+    unknown = sorted(set(doc) - set(_RUN_DOC_KEYS))
+    if unknown:
+        raise ConfigError(
+            f"unknown run settings {unknown} in {args.config}; known: {sorted(_RUN_DOC_KEYS)}"
+        )
+    values = {**_RUN_DOC_REQUIRED, **doc}
+    for key, flag in _RUN_FLAGS.items():
+        if getattr(args, flag) is not None:
+            values[key] = getattr(args, flag)
+    if args.no_optimize:
+        values["optimize"] = False
+    kwargs = {ScenarioSpec: {}, RunConfig: {}}
+    for key, value in values.items():
+        owner, name, convert = _RUN_DOC_KEYS[key]
+        try:
+            kwargs[owner][name] = convert(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"run setting {key!r}: {exc}") from exc
+    cfg = RunConfig(scenario=ScenarioSpec(**kwargs[ScenarioSpec]), **kwargs[RunConfig])
     if args.mlp:
         cfg.mlp_doc = load_json(args.mlp)
     if args.siever_fit:

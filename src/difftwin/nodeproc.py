@@ -9,14 +9,13 @@ that raises is answered with an error frame; the process keeps serving.
 from __future__ import annotations
 
 import argparse
-import json
 import socket
 import sys
 import traceback
 
 from .configs import build_node
 from .protocol import decode, encode
-from .transport import _send_frame
+from .transport import _recv_frame, _send_frame
 
 # The node methods a hub may call; no other attribute is reachable.
 CALLS = frozenset({"ensure_horizon", "observe_sensor", "setpoints", "state_rows", "max_param_grad"})
@@ -38,25 +37,24 @@ def _answer(node, frame: dict) -> dict:
 def serve(host: str, port: int, name: str) -> int:
     sock = socket.create_connection((host, port))
     fh = sock.makefile("rw", encoding="utf-8", newline="\n")
-    _send_frame(fh, {"kind": "hello", "name": name})
-    init = json.loads(fh.readline())
-    if init.get("kind") != "init":
-        return 2
-    node = build_node(init["config"])
-
-    while True:
-        line = fh.readline()
-        if not line:
-            return 0
-        frame = json.loads(line)
-        if frame.get("kind") == "shutdown":
-            return 0
-        try:
-            reply = _answer(node, frame)
-        except Exception as exc:  # noqa: BLE001 - reported to the hub
-            traceback.print_exc()
-            reply = {"kind": "error", "error": f"{type(exc).__name__}: {exc}"}
-        _send_frame(fh, reply)
+    try:
+        _send_frame(fh, {"kind": "hello", "name": name})
+        init = _recv_frame(fh)
+        if init.get("kind") != "init":
+            return 2
+        node = build_node(init["config"])
+        while True:
+            frame = _recv_frame(fh)
+            if frame.get("kind") == "shutdown":
+                return 0
+            try:
+                reply = _answer(node, frame)
+            except Exception as exc:  # noqa: BLE001 - reported to the hub
+                traceback.print_exc()
+                reply = {"kind": "error", "error": f"{type(exc).__name__}: {exc}"}
+            _send_frame(fh, reply)
+    except ConnectionError:  # the hub closed the connection
+        return 0
 
 
 def main() -> int:

@@ -4,12 +4,16 @@ Three message types travel between nodes: information (mean + covariance
 for one time step), gradient (loss gradient vector for one time step) and
 control (period-switch action). Field presence is validated exactly per
 type; unknown or missing fields reject the message.
+
+One check serves both directions: ``encode`` runs the wire document it
+builds through the same schema check as ``decode``, so a message that
+would fail at the receiver raises ``MalformedMessage`` at the sender.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,11 +27,11 @@ ACTION_TO_INFORMATION = "to_information"
 ACTION_TO_BACKPROPAGATION = "to_backpropagation"
 _ACTIONS = (ACTION_TO_INFORMATION, ACTION_TO_BACKPROPAGATION)
 
-_COMMON_FIELDS = {"sender", "recipient", "type"}
+_HEADER = ("sender", "recipient", "type")
 _FIELDS_BY_TYPE = {
-    TYPE_INFORMATION: _COMMON_FIELDS | {"time_stamp", "mean", "cov"},
-    TYPE_GRADIENT: _COMMON_FIELDS | {"time_stamp", "gradient"},
-    TYPE_CONTROL: _COMMON_FIELDS | {"action"},
+    TYPE_INFORMATION: ("time_stamp", "mean", "cov"),
+    TYPE_GRADIENT: ("time_stamp", "gradient"),
+    TYPE_CONTROL: ("action",),
 }
 
 
@@ -88,26 +92,27 @@ def control_message(sender, recipient, action) -> Message:
     return Message(sender=sender, recipient=recipient, type=TYPE_CONTROL, action=action)
 
 
+# Message's field order is the key order on the wire.
+_WIRE_ORDER = tuple(f.name for f in fields(Message))
+
+
 def encode(msg: Message) -> bytes:
     """One JSON object per message, newline terminated. Matrices are
-    row-major nested arrays; floats round-trip bit exactly."""
-    _validate(msg)
-    doc = {"sender": msg.sender, "recipient": msg.recipient, "type": msg.type}
-    if msg.type == TYPE_INFORMATION:
-        doc["time_stamp"] = msg.time_stamp
-        doc["mean"] = msg.mean.tolist()
-        doc["cov"] = msg.cov.tolist()
-    elif msg.type == TYPE_GRADIENT:
-        doc["time_stamp"] = msg.time_stamp
-        doc["gradient"] = msg.gradient.tolist()
-    else:
-        doc["action"] = msg.action
+    row-major nested arrays; floats round-trip bit exactly. Every field the
+    message sets goes into the document, which must pass ``decode``'s
+    schema check before it is written."""
+    doc = {}
+    for key in _WIRE_ORDER:
+        value = getattr(msg, key)
+        if value is not None:
+            doc[key] = value.tolist() if isinstance(value, np.ndarray) else value
+    _from_dict(doc)
     return (json.dumps(doc, separators=(",", ":")) + "\n").encode("utf-8")
 
 
-def decode(data, offset: int = 0) -> Message:
-    """Parse one message line. Raises MalformedMessage carrying the byte
-    offset of the failure within the surrounding stream."""
+def decode(data) -> Message:
+    """Parse one message line. For invalid JSON, ``MalformedMessage.offset``
+    is the position of the syntax error within the line."""
     if isinstance(data, (bytes, bytearray)):
         text = bytes(data).decode("utf-8", errors="replace")
     else:
@@ -116,122 +121,62 @@ def decode(data, offset: int = 0) -> Message:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise MalformedMessage(
-            f"invalid JSON: {exc.msg}", offset=offset + exc.pos
-        ) from exc
-    return _from_dict(doc, offset)
+        raise MalformedMessage(f"invalid JSON: {exc.msg}", offset=exc.pos) from exc
+    return _from_dict(doc)
 
 
-def decode_stream(data: bytes):
-    """Decode a byte stream of newline-delimited messages."""
-    messages = []
-    offset = 0
-    for line in bytes(data).split(b"\n"):
-        if line.strip():
-            messages.append(decode(line, offset=offset))
-        offset += len(line) + 1
-    return messages
-
-
-def _fail(reason, offset):
-    raise MalformedMessage(reason, offset=offset)
-
-
-def _finite_vector(value, name, offset):
-    if not isinstance(value, list) or not value:
-        _fail(f"{name} must be a non-empty array", offset)
+def _finite_array(value, name, ndim) -> np.ndarray:
+    """``value`` as a non-empty float array of ``ndim`` dimensions with
+    finite entries."""
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        _fail(f"{name} must contain numbers", offset)
-        raise
-    if arr.ndim != 1 or not np.all(np.isfinite(arr)):
-        _fail(f"{name} must be a flat array of finite numbers", offset)
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        raise MalformedMessage(f"{name} must be an array of numbers") from None
+    if arr.dtype.kind not in "iuf":
+        raise MalformedMessage(f"{name} must be an array of numbers")
+    arr = arr.astype(float, copy=False)
+    if arr.ndim != ndim or not arr.size or not np.all(np.isfinite(arr)):
+        raise MalformedMessage(f"{name} must be a non-empty {ndim}-D array of finite numbers")
     return arr
 
 
-def _from_dict(doc, offset) -> Message:
+def _from_dict(doc) -> Message:
+    """The message a wire document holds; raises ``MalformedMessage`` on
+    the first schema rule it breaks."""
     if not isinstance(doc, dict):
-        _fail("message must be a JSON object", offset)
+        raise MalformedMessage("message must be a JSON object")
     mtype = doc.get("type")
-    if mtype not in _FIELDS_BY_TYPE:
-        _fail(f"unknown message type {mtype!r}", offset)
-    expected = _FIELDS_BY_TYPE[mtype]
-    got = set(doc)
+    if not isinstance(mtype, str) or mtype not in _FIELDS_BY_TYPE:
+        raise MalformedMessage(f"unknown message type {mtype!r}")
+    expected, got = set(_HEADER + _FIELDS_BY_TYPE[mtype]), set(doc)
     if got != expected:
-        missing = expected - got
-        extra = got - expected
-        _fail(
-            f"{mtype} message fields mismatch: missing {sorted(missing)}, "
-            f"unexpected {sorted(extra)}",
-            offset,
+        raise MalformedMessage(
+            f"{mtype} message fields mismatch: missing {sorted(expected - got)}, "
+            f"unexpected {sorted(got - expected)}"
         )
     for key in ("sender", "recipient"):
         if not isinstance(doc[key], str) or not doc[key]:
-            _fail(f"{key} must be a non-empty string", offset)
+            raise MalformedMessage(f"{key} must be a non-empty string")
 
     msg = Message(sender=doc["sender"], recipient=doc["recipient"], type=mtype)
     if mtype == TYPE_CONTROL:
         if doc["action"] not in _ACTIONS:
-            _fail(f"unknown control action {doc['action']!r}", offset)
+            raise MalformedMessage(f"unknown control action {doc['action']!r}")
         msg.action = doc["action"]
         return msg
 
     ts = doc["time_stamp"]
     if not isinstance(ts, int) or isinstance(ts, bool):
-        _fail("time_stamp must be an integer step index", offset)
+        raise MalformedMessage("time_stamp must be an integer step index")
     msg.time_stamp = ts
 
     if mtype == TYPE_GRADIENT:
-        msg.gradient = _finite_vector(doc["gradient"], "gradient", offset)
+        msg.gradient = _finite_array(doc["gradient"], "gradient", 1)
         return msg
 
-    msg.mean = _finite_vector(doc["mean"], "mean", offset)
-    cov = doc["cov"]
+    msg.mean = _finite_array(doc["mean"], "mean", 1)
+    msg.cov = _finite_array(doc["cov"], "cov", 2)
     n = len(msg.mean)
-    if (
-        not isinstance(cov, list)
-        or len(cov) != n
-        or any(not isinstance(row, list) or len(row) != n for row in cov)
-    ):
-        _fail(f"cov must be a {n}x{n} nested array", offset)
-    arr = np.asarray(cov, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        _fail("cov must contain finite numbers", offset)
-    msg.cov = arr
+    if msg.cov.shape != (n, n):
+        raise MalformedMessage(f"cov must be a {n}x{n} nested array")
     return msg
-
-
-def _validate(msg: Message):
-    if msg.type not in _FIELDS_BY_TYPE:
-        raise MalformedMessage(f"unknown message type {msg.type!r}")
-    if msg.type == TYPE_CONTROL:
-        ok = (
-            msg.action in _ACTIONS
-            and msg.time_stamp is None
-            and msg.mean is None
-            and msg.cov is None
-            and msg.gradient is None
-        )
-    elif msg.type == TYPE_GRADIENT:
-        ok = (
-            isinstance(msg.time_stamp, int)
-            and msg.gradient is not None
-            and msg.mean is None
-            and msg.cov is None
-            and msg.action is None
-        )
-    else:
-        ok = (
-            isinstance(msg.time_stamp, int)
-            and msg.mean is not None
-            and msg.cov is not None
-            and msg.cov.shape == (len(msg.mean), len(msg.mean))
-            and msg.gradient is None
-            and msg.action is None
-        )
-    if not ok:
-        raise MalformedMessage(f"fields inconsistent with type {msg.type!r}")
-    for arr in (msg.mean, msg.cov, msg.gradient):
-        if arr is not None and not np.all(np.isfinite(arr)):
-            raise MalformedMessage("non-finite values cannot be encoded")

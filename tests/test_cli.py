@@ -1,5 +1,6 @@
 """Command-line interface tests: determinism, argument handling, exit codes."""
 
+import dataclasses
 import inspect
 import json
 import os
@@ -7,11 +8,12 @@ import os
 import numpy as np
 import pytest
 
-from difftwin.cli import _read_sweep, build_parser, main
+from difftwin.cli import _load_run_config, _read_sweep, build_parser, main
 from difftwin.facility import FacilityParams
 from difftwin.facility.probe import magsorter_sweep
 from difftwin.models import mlp_train
 from difftwin.oracle import oracle_optimum
+from difftwin.runner import RunConfig
 
 
 class TestSweepAndTraining:
@@ -152,3 +154,32 @@ class TestRunCommand:
         bad = tmp_path / "cfg.json"
         bad.write_text("{not json")
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "x")]) == 1
+
+    def load(self, tmp_path, doc, *flags):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        return _load_run_config(build_parser().parse_args(["run", "--config", str(path), *flags]))
+
+    def test_empty_document_keeps_every_dataclass_default(self, tmp_path):
+        cfg = self.load(tmp_path, {})
+        for f in dataclasses.fields(RunConfig):
+            if f.default is not dataclasses.MISSING:
+                assert getattr(cfg, f.name) == f.default, f.name
+        assert cfg.facility_params == FacilityParams()
+        spec = cfg.scenario
+        assert (spec.name, spec.seed, spec.duration_s, spec.phase_period_s) == ("static", 7, 2400.0, 600.0)
+        assert cfg.out_dir == "runs/latest"
+
+    def test_document_overrides_defaults_and_flags_override_document(self, tmp_path):
+        doc = {"activation_delay_s": 60, "phase_period_s": 120, "seed": 5, "transport": "tcp"}
+        cfg = self.load(tmp_path, doc)
+        assert (cfg.activation_delay, cfg.scenario.phase_period_s) == (60.0, 120.0)
+        assert (cfg.scenario.seed, cfg.transport, cfg.optimize) == (5, "tcp", True)
+        cfg = self.load(tmp_path, doc, "--seed", "9", "--transport", "memory", "--no-optimize")
+        assert (cfg.scenario.seed, cfg.transport, cfg.optimize) == (9, "memory", False)
+
+    def test_unknown_setting_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"activation_delay": 60}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
+        assert "activation_delay" in capsys.readouterr().err

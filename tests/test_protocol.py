@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from difftwin.errors import MalformedMessage
 from difftwin.lossnode import (
@@ -16,10 +19,12 @@ from difftwin.lossnode import (
 from difftwin.protocol import (
     ACTION_TO_BACKPROPAGATION,
     ACTION_TO_INFORMATION,
+    TYPE_CONTROL,
+    TYPE_GRADIENT,
+    TYPE_INFORMATION,
     Message,
     control_message,
     decode,
-    decode_stream,
     encode,
     gradient_message,
     information_message,
@@ -38,6 +43,49 @@ def random_message(rng):
         return gradient_message("a", "b", int(rng.integers(0, 1000)), rng.standard_normal(n))
     action = ACTION_TO_INFORMATION if rng.integers(0, 2) else ACTION_TO_BACKPROPAGATION
     return control_message("a", "b", action)
+
+
+# Names and array entries are valid about three times in four, so that a
+# fair share of the drawn messages encodes.
+_NAME = st.text(min_size=1, max_size=3)
+NAMES = st.one_of(_NAME, _NAME, _NAME, st.sampled_from(["", 7, None]))
+STEPS = st.one_of(st.integers(-3, 10**9), st.booleans())
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def arrays_near(shape):
+    """Float arrays, mostly of ``shape`` with finite entries, sometimes
+    empty, 2-D or with NaN or infinite entries."""
+    shapes = st.sampled_from([shape] * 6 + [(0,), (1, 2)])
+    return hnp.arrays(np.float64, shapes, elements=st.one_of(_FINITE, _FINITE, _FINITE, st.floats()))
+
+
+@st.composite
+def drawn_messages(draw):
+    """Constructor inputs with every kind of fault the schema forbids, and
+    raw ``Message``s with any fields set."""
+    sender, recipient, n = draw(NAMES), draw(NAMES), draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["information", "gradient", "control", "raw"]))
+    if kind == "information":
+        return information_message(
+            sender, recipient, draw(STEPS), draw(arrays_near((n,))), draw(arrays_near((n, n)))
+        )
+    if kind == "gradient":
+        return gradient_message(sender, recipient, draw(STEPS), draw(arrays_near((n,))))
+    actions = st.sampled_from([ACTION_TO_INFORMATION, ACTION_TO_BACKPROPAGATION, "to_lunch"])
+    if kind == "control":
+        return control_message(sender, recipient, draw(actions))
+    maybe = st.none() | arrays_near((n,))
+    return Message(
+        sender,
+        recipient,
+        draw(st.sampled_from([TYPE_INFORMATION, TYPE_GRADIENT, TYPE_CONTROL, "telemetry"])),
+        time_stamp=draw(st.none() | STEPS),
+        mean=draw(maybe),
+        cov=draw(st.none() | arrays_near((n, n))),
+        gradient=draw(maybe),
+        action=draw(st.none() | actions),
+    )
 
 
 class TestCodec:
@@ -64,12 +112,39 @@ class TestCodec:
             decode(raw[: len(raw) // 2])
         assert err.value.offset >= 0
 
-    def test_stream_offsets(self):
-        good = encode(control_message("a", "b", ACTION_TO_INFORMATION))
-        bad = b'{"broken": \n'
-        with pytest.raises(MalformedMessage) as err:
-            decode_stream(good + bad)
-        assert err.value.offset >= len(good)
+    @pytest.mark.parametrize(
+        "msg",
+        [
+            gradient_message("a", "b", 1, []),
+            gradient_message("a", "b", 1, [[1.0, 2.0]]),
+            information_message("a", "b", 1, [], np.zeros((0, 0))),
+            information_message("a", "b", 1, [[1.0]], [[1.0]]),
+            control_message("", "b", ACTION_TO_INFORMATION),
+            control_message("a", 5, ACTION_TO_INFORMATION),
+            Message("a", "b", TYPE_GRADIENT, time_stamp=True, gradient=np.ones(2)),
+        ],
+        ids=[
+            "empty-gradient",
+            "2d-gradient",
+            "empty-mean",
+            "2d-mean",
+            "empty-sender",
+            "non-string-recipient",
+            "bool-time-stamp",
+        ],
+    )
+    def test_encode_rejects_what_decode_rejects(self, msg):
+        with pytest.raises(MalformedMessage):
+            encode(msg)
+
+    @settings(max_examples=300, deadline=None)
+    @given(msg=drawn_messages())
+    def test_encode_writes_only_lines_decode_accepts(self, msg):
+        try:
+            line = encode(msg)
+        except MalformedMessage:
+            return
+        assert decode(line) == msg
 
 
 class TestSchema:

@@ -2,12 +2,15 @@
 message counts, and the TCP hub's typed errors."""
 
 import json
+import socket
+import threading
 
 import pytest
 
 from difftwin.cli import main
 from difftwin.configs import demo_configs
 from difftwin.errors import DifftwinError, NodeError
+from difftwin.nodeproc import serve
 from difftwin.protocol import (
     ACTION_TO_INFORMATION,
     control_message,
@@ -150,3 +153,19 @@ class TestTcpHub:
         )
         assert code == 2
         assert "before connecting" in capsys.readouterr().err
+
+
+class TestNodeProcess:
+    def test_hub_closing_before_init_ends_the_node_with_code_0(self):
+        with socket.create_server(("127.0.0.1", 0)) as server:
+
+            def hub():
+                conn, _ = server.accept()
+                conn.close()
+
+            thread = threading.Thread(target=hub)
+            thread.start()
+            try:
+                assert serve("127.0.0.1", server.getsockname()[1], "conveyor") == 0
+            finally:
+                thread.join()
