@@ -16,18 +16,11 @@ import numpy as np
 
 from .errors import ConfigError, DifftwinError
 from .facility import FacilityParams, ScenarioSpec
-from .facility.probe import magsorter_sweep, siever_speed_sweep, siever_step_response
-from .models.io import (
-    load_json,
-    mlp_from_dict,
-    mlp_to_dict,
-    save_json,
-    siever_fit_to_dict,
-)
+from .facility.probe import magsorter_sweep
+from .models.io import load_json, mlp_to_dict, save_json
 from .models.mlp import MLP_EPOCHS, mlp_forward, mlp_train
-from .models.siever import fit_splits, fit_step_response
 from .oracle import oracle_for_scenario
-from .runner import RunConfig, run
+from .runner import RunConfig, fit_drum, run
 
 SWEEP_HEADER = ["in_fm", "in_nfm", "height", "tp_fm", "fp_fm", "tp_nfm", "fp_nfm"]
 
@@ -43,7 +36,6 @@ _RUN_DOC_KEYS = {
     "transport": (RunConfig, "transport", str),
     "optimize": (RunConfig, "optimize", bool),
     "activation_delay_s": (RunConfig, "activation_delay", float),
-    "switch_interval_s": (RunConfig, "switch_interval", float),
     "initial_speed": (RunConfig, "initial_speed", float),
     "initial_height": (RunConfig, "initial_height", float),
     "model_seed": (RunConfig, "model_seed", int),
@@ -132,7 +124,7 @@ def _read_sweep(path):
 
 def cmd_train_mlp(args) -> int:
     x, y = _read_sweep(args.dataset)
-    mlp = mlp_train((x, y), epochs=args.epochs, seed=args.seed, hidden=(16, 16))
+    mlp = mlp_train((x, y), epochs=args.epochs, seed=args.seed)
     residuals = np.array([mlp_forward(mlp, xi) for xi in x]) - y
     rmse = float(np.sqrt(np.mean(residuals**2)))
     save_json(mlp_to_dict(mlp), args.out)
@@ -141,14 +133,10 @@ def cmd_train_mlp(args) -> int:
 
 
 def cmd_fit_siever(args) -> int:
-    params = FacilityParams()
-    responses = siever_step_response(params, seed=args.seed)
-    kernels = fit_step_response(responses, step_index=4)
-    records = siever_speed_sweep(params, seed=args.seed + 1)
-    splits = fit_splits(records)
-    save_json(siever_fit_to_dict(kernels, splits, slots=8), args.out)
-    for outlet, k in sorted(kernels.items()):
-        print(f"outlet {outlet}: dead_time {k.dead_time:.1f}s tau {k.tau:.1f}s")
+    doc = fit_drum(FacilityParams(), args.seed)
+    save_json(doc, args.out)
+    for outlet, k in sorted(doc["kernels"].items()):
+        print(f"outlet {outlet}: dead_time {k['dead_time']:.1f}s tau {k['tau']:.1f}s")
     print(f"siever fit -> {args.out}")
     return 0
 

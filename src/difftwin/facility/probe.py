@@ -16,14 +16,17 @@ from .truth import FacilityParams, siever_split
 FM_MIX = ("fm_can", "fm_cap")
 NFM_MIX = ("plastic_bottle", "coffee_cup", "paper_ball", "nfm_cap")
 
+SWEEP_DRAWS = 20  # random input flows per sorter sweep height
+SWEEP_WINDOWS = 4  # windows each sweep draw is integrated over
+STEP_FLOW = 0.08  # kg/s after the drum input step
+STEP_WINDOWS = 16  # windows per drum step-response series
+STEP_WINDOW = 4  # the window of the input step, for the probe and the fit
+STEP_REPEATS = 60  # step responses averaged per outlet
+SPLIT_SPEEDS = (5.0, 9.0, 13.0, 17.0, 21.0)  # rpm of the drum speed sweep
+SPLIT_WINDOWS = 60  # static-mix windows per sweep speed
 
-def magsorter_sweep(
-    params: FacilityParams,
-    seed: int,
-    heights=None,
-    draws_per_height: int = 20,
-    windows_per_draw: int = 4,
-):
+
+def magsorter_sweep(params: FacilityParams, seed: int):
     """Training dataset for the sorter network.
 
     Rows: (realized FM input flow, realized NFM input flow, height) ->
@@ -32,16 +35,15 @@ def magsorter_sweep(
     several windows per sample to tame counting noise.
     """
     rng = np.random.default_rng(seed)
-    if heights is None:
-        lo, hi = params.height_range
-        heights = np.arange(lo, hi + 1e-9, 0.5)
+    lo, hi = params.height_range
+    heights = np.arange(lo, hi + 1e-9, 0.5)
     x_rows, y_rows = [], []
     masses = {a.name: a.mass for a in CATALOG}
-    span = STEP_SECONDS * windows_per_draw
+    span = STEP_SECONDS * SWEEP_WINDOWS
     for h in heights:
         pc = params.magnet.p_capture(float(h))
         pd = params.magnet.p_drag(float(h))
-        for _ in range(draws_per_height):
+        for _ in range(SWEEP_DRAWS):
             fm_flow = rng.uniform(0.002, 0.045)
             nfm_flow = rng.uniform(0.002, 0.045)
             in_fm = in_nfm = 0.0
@@ -70,15 +72,8 @@ def magsorter_sweep(
     return np.asarray(x_rows), np.asarray(y_rows)
 
 
-def siever_step_response(
-    params: FacilityParams,
-    seed: int,
-    flow: float = 0.08,
-    windows: int = 16,
-    step_window: int = 4,
-    repeats: int = 60,
-):
-    """Averaged per-outlet responses to 0-to-flow input steps.
+def siever_step_response(params: FacilityParams, seed: int):
+    """Averaged per-outlet responses to 0-to-STEP_FLOW input steps.
 
     Each outlet is probed with its matching size class (where its split
     fraction, and therefore the signal, is largest). Returns dict
@@ -90,12 +85,12 @@ def siever_step_response(
     responses = {}
     for size in SIZES:
         art = next(a for a in CATALOG if a.size == size and a.name != "fm_can")
-        series = np.zeros(windows)
+        series = np.zeros(STEP_WINDOWS)
         p_match = frac[(size, size)]
-        for _ in range(repeats):
-            for w in range(step_window, windows):
+        for _ in range(STEP_REPEATS):
+            for w in range(STEP_WINDOW, STEP_WINDOWS):
                 t0 = w * STEP_SECONDS
-                k = int(rng.poisson(flow / art.mass * STEP_SECONDS))
+                k = int(rng.poisson(STEP_FLOW / art.mass * STEP_SECONDS))
                 if not k:
                     continue
                 n_match = int(rng.binomial(k, p_match))
@@ -106,18 +101,13 @@ def siever_step_response(
                 exits = times + dead + rng.exponential(tau, n_match)
                 for te in exits:
                     wi = int(te // STEP_SECONDS)
-                    if wi < windows:
+                    if wi < STEP_WINDOWS:
                         series[wi] += art.mass
-        responses[size] = series / repeats / STEP_SECONDS
+        responses[size] = series / STEP_REPEATS / STEP_SECONDS
     return responses
 
 
-def siever_speed_sweep(
-    params: FacilityParams,
-    seed: int,
-    speeds=(5.0, 9.0, 13.0, 17.0, 21.0),
-    windows: int = 60,
-):
+def siever_speed_sweep(params: FacilityParams, seed: int):
     """Long-run outlet mass fractions per (speed, size, outlet).
 
     Returns records (speed, size, outlet, fraction) for fit_splits. Flows
@@ -126,11 +116,11 @@ def siever_speed_sweep(
     """
     rng = np.random.default_rng(seed)
     records = []
-    for speed in speeds:
+    for speed in SPLIT_SPEEDS:
         frac = siever_split(params, float(speed))
         in_mass = {p: 0.0 for p in SIZES}
         out_mass = {(o, p): 0.0 for o in SIZES for p in SIZES}
-        for _ in range(windows):
+        for _ in range(SPLIT_WINDOWS):
             for art in CATALOG:
                 lam = art.flow_static / art.mass * STEP_SECONDS
                 k = int(rng.poisson(lam))

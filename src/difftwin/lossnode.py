@@ -1,13 +1,14 @@
-"""Loss node: period scheduling, objective evaluation, seed gradients.
+"""Loss node: period schedule, objective evaluation, seed gradients.
 
 The facility is optimized for purity-weighted profit at one sorter: each
 outlet contributes minus squared-purity times its correctly sorted mass
 flow, where purity is the correctly sorted fraction of the outlet's total
 flow. Only size class TARGET_SIZE counts as correctly sorted. The loss
 node, named LOSS_NODE_NAME, receives information messages from the target
-node in the LOSS_COORDS exchange format, schedules alternating
-information/backpropagation periods, and seeds the gradient avalanche for
-the current step.
+node in the LOSS_COORDS exchange format, switches the chain between
+periods on a fixed schedule, and seeds the gradient avalanche for the
+current step. The information period starts at every step boundary and the
+backpropagation period at every step's midpoint, HALF_STEP.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .protocol import (
 EPS_FLOW = 1e-9  # kg/s; totals at or below this contribute nothing
 LOSS_NODE_NAME = "loss"
 TARGET_SIZE = "M"  # the size class a sorter outlet is paid for
+HALF_STEP = STEP_SECONDS / 2  # offset of the backpropagation period in a step
 
 # Exchange-format coordinate names for the loss: material, outlet, size.
 LOSS_COORDS = tuple(
@@ -90,24 +92,15 @@ class LossNode:
     the backpropagation period.
     """
 
-    def __init__(
-        self,
-        target: str,
-        node_names,
-        switch_interval: float = 15.0,
-        activation_delay: float = 300.0,
-    ):
+    def __init__(self, target: str, node_names, activation_delay: float = 300.0):
         self.name = LOSS_NODE_NAME
         self.target = target
         self.node_names = sorted(node_names)
         if target not in self.node_names:
             raise ConfigError(f"loss target {target!r} not among nodes")
-        self.switch_interval = switch_interval
         self.activation_delay = activation_delay
-        self.period = "information"
         self.estimates: dict[int, np.ndarray] = {}
         self.last_loss: float | None = None
-        self.switch_count = 0
 
     # -- message-side behavior -------------------------------------------
 
@@ -127,25 +120,18 @@ class LossNode:
     # -- scheduling ---------------------------------------------------------
 
     def on_clock(self, now: float) -> list:
-        """Control and gradient messages due at a switch boundary.
+        """Control and gradient messages due at a period switch.
 
-        Call at multiples of switch_interval. Before the activation delay
-        nothing is emitted; afterwards the half-steps alternate between
-        backpropagation (with seed gradients for the current step) and
-        information periods.
+        Call at each step boundary and each step's midpoint. Before the
+        activation delay nothing is emitted; afterwards a midpoint switches
+        every node to backpropagation and seeds the gradients of the current
+        step, and a boundary switches every node back to information.
         """
         if now < self.activation_delay:
             return []
-        phase = int(round(now / self.switch_interval))
-        to_backprop = phase % 2 == 1
-        out = []
+        to_backprop = now % STEP_SECONDS == HALF_STEP
         action = ACTION_TO_BACKPROPAGATION if to_backprop else ACTION_TO_INFORMATION
-        new_period = "backpropagation" if to_backprop else "information"
-        if new_period != self.period:
-            self.switch_count += 1
-        self.period = new_period
-        for nb in self.node_names:
-            out.append(control_message(self.name, nb, action))
+        out = [control_message(self.name, nb, action) for nb in self.node_names]
         step = int(now // STEP_SECONDS)
         if to_backprop:
             out.extend(self.seed_gradients(step))

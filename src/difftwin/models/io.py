@@ -11,6 +11,7 @@ import json
 import numpy as np
 
 from ..errors import ConfigError
+from .layouts import HISTORY_SLOTS
 from .mlp import MlpModel
 from .siever import ResidenceKernel
 
@@ -53,11 +54,11 @@ def mlp_from_dict(doc: dict) -> MlpModel:
     return mlp
 
 
-def siever_fit_to_dict(kernels: dict, split_coeffs: dict, slots: int) -> dict:
+def siever_fit_to_dict(kernels: dict, split_coeffs: dict) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "kind": "siever_fit",
-        "slots": slots,
+        "slots": HISTORY_SLOTS,
         "kernels": {
             o: {"dead_time": k.dead_time, "tau": k.tau, "weights": _arr(k.weights)}
             for o, k in kernels.items()

@@ -17,6 +17,8 @@ from ..errors import TrainingDiverged
 
 # Training length of the sorter network, for `prepare_models` and the CLI.
 MLP_EPOCHS = 4000
+LEARNING_RATE = 1e-2  # Adam step size
+VAL_FRACTION = 0.2  # share of the rows held out to estimate residual_cov
 
 
 @dataclass
@@ -79,8 +81,6 @@ def mlp_train(
     epochs: int = MLP_EPOCHS,
     seed: int = 0,
     hidden=(16, 16),
-    learning_rate: float = 1e-2,
-    val_fraction: float = 0.2,
 ) -> MlpModel:
     """Deterministic full-batch Adam training.
 
@@ -98,7 +98,7 @@ def mlp_train(
 
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
-    n_val = max(1, int(round(val_fraction * n)))
+    n_val = max(1, int(round(VAL_FRACTION * n)))
     val_ix, train_ix = order[:n_val], order[n_val:]
     x_tr, y_tr = x_all[train_ix], y_all[train_ix]
     x_va, y_va = x_all[val_ix], y_all[val_ix]
@@ -145,7 +145,7 @@ def mlp_train(
                 v += (1 - beta2) * g**2
                 m_hat = m / (1 - beta1**step)
                 v_hat = v / (1 - beta2**step)
-                p -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+                p -= LEARNING_RATE * m_hat / (np.sqrt(v_hat) + eps)
 
     mlp = MlpModel(
         weights=weights,

@@ -18,6 +18,7 @@ import numpy as np
 from ..errors import ConfigError, FitIllConditioned
 from .base import DifferentiableModel
 from .layouts import (
+    HISTORY_SLOTS,
     OUTLETS_SIEVER,
     SIZES,
     STEP_SECONDS,
@@ -208,28 +209,30 @@ def siever_model(
     return SieverModel(layout, kernels, split_coeffs)
 
 
-def _step_response_sse(response, step_index, dead_time, tau, slots):
-    kernel = ResidenceKernel.from_parameters(dead_time, tau, slots)
+def _step_response_sse(response, step_index, dead_time, tau):
+    kernel = ResidenceKernel.from_parameters(dead_time, tau, HISTORY_SLOTS)
     cum = np.cumsum(kernel.weights)
     predicted = np.zeros_like(response)
     for k in range(len(response)):
         lag = k - step_index
         if lag < 0:
             predicted[k] = 0.0
-        elif lag < slots:
+        elif lag < HISTORY_SLOTS:
             predicted[k] = cum[lag]
         else:
             predicted[k] = 1.0
     return float(np.sum((response - predicted) ** 2))
 
 
-def fit_step_response(responses: dict, step_index: int, slots: int = 8) -> dict:
-    """Recover (dead_time, tau) per outlet from normalized step responses.
+def fit_step_response(responses: dict, step_index: int) -> dict:
+    """Recover (dead_time, tau) per outlet from normalized step responses,
+    as kernels over HISTORY_SLOTS slots.
 
     responses maps outlet -> flow series for a 0-to-plateau input step at
     window `step_index`; each series is normalized by its final plateau.
     Least-squares over a coarse grid with two local refinement passes.
     """
+    max_dead = (HISTORY_SLOTS - 1) * STEP_SECONDS
     fitted = {}
     for outlet, series in responses.items():
         y = np.asarray(series, dtype=float)
@@ -238,7 +241,7 @@ def fit_step_response(responses: dict, step_index: int, slots: int = 8) -> dict:
             raise FitIllConditioned(f"outlet {outlet!r} step response has no plateau")
         y = y / plateau
 
-        lo_d, hi_d = 0.0, (slots - 1) * STEP_SECONDS
+        lo_d, hi_d = 0.0, max_dead
         lo_t, hi_t = 0.1, 2.0 * STEP_SECONDS
         best = None
         for refine in range(3):
@@ -246,16 +249,16 @@ def fit_step_response(responses: dict, step_index: int, slots: int = 8) -> dict:
             ts = np.linspace(lo_t, hi_t, 25)
             for d in ds:
                 for t in ts:
-                    sse = _step_response_sse(y, step_index, d, t, slots)
+                    sse = _step_response_sse(y, step_index, d, t)
                     if best is None or sse < best[0]:
                         best = (sse, d, t)
             _, d0, t0 = best
             span_d = (hi_d - lo_d) / 8.0
             span_t = (hi_t - lo_t) / 8.0
-            lo_d, hi_d = max(0.0, d0 - span_d), min((slots - 1) * STEP_SECONDS, d0 + span_d)
+            lo_d, hi_d = max(0.0, d0 - span_d), min(max_dead, d0 + span_d)
             lo_t, hi_t = max(0.01, t0 - span_t), t0 + span_t
         _, d0, t0 = best
-        fitted[outlet] = ResidenceKernel.from_parameters(d0, t0, slots)
+        fitted[outlet] = ResidenceKernel.from_parameters(d0, t0, HISTORY_SLOTS)
     return fitted
 
 

@@ -1,13 +1,14 @@
 """Scenario runner: wires facility, process nodes and the loss node.
 
-The runner owns the simulated clock. Each 30 s window: switch the network
-back to the information period (applying parameter updates), ingest the
-previous window's sensor readings, exchange information to quiescence,
-push setpoints and advance the facility, then run one backpropagation
-half-period. Both transports route through one ``InMemoryBus``: with
-``transport="tcp"`` its nodes are proxies of node processes. Deterministic
-round-robin delivery makes identical (seed, config) runs bitwise
-identical, and a TCP run writes the same run.csv as a memory run.
+The runner owns the simulated clock. Each 30 s window: at the step
+boundary switch the network back to the information period (applying
+parameter updates), ingest the previous window's sensor readings, exchange
+information to quiescence, push setpoints and advance the facility, then
+at the step's midpoint switch to the backpropagation period. Both
+transports route through one ``InMemoryBus``: with ``transport="tcp"``
+its nodes are proxies of node processes. Deterministic round-robin
+delivery makes identical (seed, config) runs bitwise identical, and a
+TCP run writes the same run.csv as a memory run.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .configs import build_node, demo_configs
 from .facility import Facility, FacilityParams, ScenarioSpec
 from .facility.articles import article_class
-from .facility.probe import magsorter_sweep, siever_speed_sweep, siever_step_response
-from .lossnode import LossNode
+from .facility.probe import STEP_WINDOW, magsorter_sweep, siever_speed_sweep, siever_step_response
+from .lossnode import HALF_STEP, LossNode
 from .models.io import mlp_to_dict, siever_fit_to_dict
 from .models.layouts import MATERIALS, SIZES, STEP_SECONDS
 from .models.mlp import mlp_train
@@ -30,16 +31,19 @@ from .protocol import TYPE_GRADIENT, TYPE_INFORMATION
 from .transport import InMemoryBus, TcpHub
 
 
+def fit_drum(params: FacilityParams, seed: int) -> dict:
+    """Fit the drum's residence kernels (step-response probe, seed) and
+    split curves (speed sweep, seed + 1); returns the siever fit document."""
+    kernels = fit_step_response(siever_step_response(params, seed), step_index=STEP_WINDOW)
+    splits = fit_splits(siever_speed_sweep(params, seed + 1))
+    return siever_fit_to_dict(kernels, splits)
+
+
 def prepare_models(params: FacilityParams, seed: int) -> tuple:
-    """Train the sorter network and fit the drum kernels/splits from
-    deterministic facility probes; returns (mlp_doc, siever_fit_doc)."""
-    x, y = magsorter_sweep(params, seed=seed)
-    mlp = mlp_train((x, y), seed=seed, hidden=(16, 16))
-    responses = siever_step_response(params, seed=seed + 1)
-    kernels = fit_step_response(responses, step_index=4)
-    records = siever_speed_sweep(params, seed=seed + 2)
-    splits = fit_splits(records)
-    return mlp_to_dict(mlp), siever_fit_to_dict(kernels, splits, slots=8)
+    """Train the sorter network and fit the drum; returns (mlp_doc,
+    siever_fit_doc)."""
+    mlp = mlp_train(magsorter_sweep(params, seed), seed=seed)
+    return mlp_to_dict(mlp), fit_drum(params, seed + 1)
 
 
 @dataclass
@@ -49,11 +53,9 @@ class RunConfig:
     transport: str = "memory"
     optimize: bool = True
     activation_delay: float = 300.0
-    switch_interval: float = 15.0
     initial_speed: float = 12.0
     initial_height: float = 14.0
     model_seed: int = 123
-    facility_params: FacilityParams = field(default_factory=FacilityParams)
     mlp_doc: dict | None = None
     siever_fit_doc: dict | None = None
     write_states: bool = True
@@ -139,10 +141,11 @@ def _setpoints(nodes) -> dict:
 
 def run(config: RunConfig) -> RunResult:
     os.makedirs(config.out_dir, exist_ok=True)
+    params = FacilityParams()
     mlp_doc = config.mlp_doc
     fit_doc = config.siever_fit_doc
     if mlp_doc is None or fit_doc is None:
-        mlp_doc, fit_doc = prepare_models(config.facility_params, config.model_seed)
+        mlp_doc, fit_doc = prepare_models(params, config.model_seed)
 
     node_cfgs = demo_configs(
         mlp_doc,
@@ -151,12 +154,7 @@ def run(config: RunConfig) -> RunResult:
         initial_height=config.initial_height,
     )
     activation = config.activation_delay if config.optimize else math.inf
-    loss_node = LossNode(
-        "magsorter",
-        list(node_cfgs),
-        switch_interval=config.switch_interval,
-        activation_delay=activation,
-    )
+    loss_node = LossNode("magsorter", list(node_cfgs), activation_delay=activation)
     hub = TcpHub(node_cfgs) if config.transport == "tcp" else None
     states_file = None
     try:
@@ -164,7 +162,7 @@ def run(config: RunConfig) -> RunResult:
         bus = InMemoryBus()
         for name in sorted([*nodes, loss_node.name]):
             bus.register(name, nodes.get(name, loss_node))
-        facility = Facility(config.scenario, config.facility_params)
+        facility = Facility(config.scenario, params)
         truth_maps = {name: _truth_map(cfg["machine"]) for name, cfg in node_cfgs.items()}
 
         windows = int(config.scenario.duration_s // STEP_SECONDS)
@@ -222,9 +220,9 @@ def run(config: RunConfig) -> RunResult:
                 facility.set_setpoint(pname, value)
             readings_prev = facility.advance_window()
 
-            # Backpropagation half-period in the middle of the window.
+            # Backpropagation period from the middle of the window.
             grad_rounds = 0
-            back_msgs = loss_node.on_clock(t0 + config.switch_interval)
+            back_msgs = loss_node.on_clock(t0 + HALF_STEP)
             if back_msgs:
                 bus.post_all(back_msgs)
                 grad_rounds = bus.run_until_quiescent(kick=False)

@@ -85,10 +85,12 @@ class TestOracle:
 
 
 class TestFitSiever:
-    def test_writes_fit_document(self, tmp_path):
+    def test_writes_fit_document(self, tmp_path, prepared_models):
         out = tmp_path / "siever.json"
         assert main(["fit-siever", "--out", str(out), "--seed", "124"]) == 0
         doc = json.loads(out.read_text())
+        # One drum recipe: seed 124 writes what `run` fits for itself.
+        assert doc == prepared_models[1]
         assert doc["kind"] == "siever_fit"
         assert set(doc["kernels"]) == {"S", "M", "L"}
         # kernels recovered within 10% of the configured residence parameters
@@ -165,7 +167,6 @@ class TestRunCommand:
         for f in dataclasses.fields(RunConfig):
             if f.default is not dataclasses.MISSING:
                 assert getattr(cfg, f.name) == f.default, f.name
-        assert cfg.facility_params == FacilityParams()
         spec = cfg.scenario
         assert (spec.name, spec.seed, spec.duration_s, spec.phase_period_s) == ("static", 7, 2400.0, 600.0)
         assert cfg.out_dir == "runs/latest"
@@ -178,8 +179,9 @@ class TestRunCommand:
         cfg = self.load(tmp_path, doc, "--seed", "9", "--transport", "memory", "--no-optimize")
         assert (cfg.scenario.seed, cfg.transport, cfg.optimize) == (9, "memory", False)
 
-    def test_unknown_setting_is_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key", ["activation_delay", "switch_interval_s"])
+    def test_unknown_setting_is_config_error(self, tmp_path, capsys, key):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"activation_delay": 60}))
+        path.write_text(json.dumps({key: 60}))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
-        assert "activation_delay" in capsys.readouterr().err
+        assert key in capsys.readouterr().err

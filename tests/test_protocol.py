@@ -297,10 +297,3 @@ class TestScheduler:
         assert kinds[3] == ("gradient", "mag")
         msgs = ln.on_clock(30.0)
         assert all(m.type == "control" and m.action == ACTION_TO_INFORMATION for m in msgs)
-
-    def test_sixty_seconds_four_switches(self):
-        ln = self.make_loss(activation=0.0)
-        ln.period = "backpropagation"  # so the t=0 info command counts as a switch
-        for t in (0.0, 15.0, 30.0, 45.0):
-            ln.on_clock(t)
-        assert ln.switch_count == 4
