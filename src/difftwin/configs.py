@@ -6,7 +6,8 @@ the current-block state), sensor rows, parameter bounds, inline model
 documents and the information-message threshold `delta_info_bits`. Step
 length, horizon, history length, sensor noise, priors and the gradient
 threshold are constants of the node layer. `build_node` turns a document
-into a live Node and rejects any field it does not know.
+into a live Node; it rejects a document that lacks a required field or
+carries one it does not know.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ FLOW_PRIOR_MEAN = 0.01
 FLOW_PRIOR_VAR = 1.0
 PARAM_PRIOR_VAR = 25.0
 
-EXCHANGE_SIZES = SIZES
-
-# The fields a node document may carry, at the top level and per entry.
+# The top-level fields a node document must carry; the fields it may carry,
+# at the top level and per entry.
+REQUIRED_FIELDS = ("id", "machine", "models")
 DOCUMENT_FIELDS = frozenset(
     {"format_version", "kind", "id", "machine", "models", "delta_info_bits",
      "neighbors", "sensors", "parameters"}
@@ -61,20 +62,13 @@ def _reject_unknown(where: str, doc: dict, known: frozenset):
 
 
 def _check_fields(config: dict):
+    missing = [f for f in REQUIRED_FIELDS if f not in config]
+    if missing:
+        raise ConfigError(f"missing field(s) in node_config: {', '.join(missing)}")
     _reject_unknown("node_config", config, DOCUMENT_FIELDS)
     for key, known in ENTRY_FIELDS.items():
         for i, entry in enumerate(config.get(key, [])):
             _reject_unknown(f"{key}[{i}]", entry, known)
-
-
-def _layout_for(machine: str) -> StateLayout:
-    if machine == "siever":
-        return siever_layout()
-    if machine == "conveyor":
-        return conveyor_layout()
-    if machine == "magsorter":
-        return magsorter_layout()
-    raise ConfigError(f"unknown machine kind {machine!r}")
 
 
 def row_matrix(layout: StateLayout, rows) -> np.ndarray:
@@ -86,18 +80,20 @@ def row_matrix(layout: StateLayout, rows) -> np.ndarray:
     return m
 
 
-def _build_models(machine: str, layout: StateLayout, models_doc: dict):
-    if machine == "conveyor":
-        doc = models_doc["conveyor"]
-        model = conveyor_model(layout.history_len, float(doc["delay"]), layout=layout)
-        return None, model
+def _build_machine(machine: str, models_doc: dict):
+    """(layout, process model, prediction model) of one machine kind."""
     if machine == "siever":
+        layout = siever_layout()
         kernels, splits = siever_fit_from_dict(models_doc["siever_fit"])
-        process = siever_model(kernels, splits, layout=layout)
-        return process, history_prediction(layout)
+        return layout, siever_model(kernels, splits, layout=layout), history_prediction(layout)
+    if machine == "conveyor":
+        layout = conveyor_layout()
+        delay = float(models_doc["conveyor"]["delay"])
+        return layout, None, conveyor_model(layout.history_len, delay, layout=layout)
     if machine == "magsorter":
+        layout = magsorter_layout()
         mlp = mlp_from_dict(models_doc["mlp"])
-        return magsorter_model(mlp, layout=layout), lowpass_prediction(layout)
+        return layout, magsorter_model(mlp, layout=layout), lowpass_prediction(layout)
     raise ConfigError(f"unknown machine kind {machine!r}")
 
 
@@ -115,9 +111,7 @@ def build_node(config: dict) -> Node:
     if config.get("kind") != "node_config" or config.get("format_version") != FORMAT_VERSION:
         raise ConfigError("not a supported node_config document")
     _check_fields(config)
-    machine = config["machine"]
-    layout = _layout_for(machine)
-    process, prediction = _build_models(machine, layout, config["models"])
+    layout, process, prediction = _build_machine(config["machine"], config["models"])
     neighbors = [
         NeighborRegistration(nb["name"], row_matrix(layout, nb["rows"]))
         for nb in config.get("neighbors", [])
@@ -153,19 +147,19 @@ def build_node(config: dict) -> Node:
 
 
 def _siever_exchange_rows():
-    return [{f"out.M.{p}": 1.0} for p in EXCHANGE_SIZES]
+    return [{f"out.M.{p}": 1.0} for p in SIZES]
 
 
 def _conveyor_in_rows():
-    return [{f"hist.{p}.0": 1.0} for p in EXCHANGE_SIZES]
+    return [{f"hist.{p}.0": 1.0} for p in SIZES]
 
 
 def _conveyor_out_rows():
-    return [{f"out.{p}": 1.0} for p in EXCHANGE_SIZES]
+    return [{f"out.{p}": 1.0} for p in SIZES]
 
 
 def _mag_in_rows():
-    return [{f"in.NFM.{p}": 1.0, f"in.FM.{p}": 1.0} for p in EXCHANGE_SIZES]
+    return [{f"in.{m}.{p}": 1.0 for m in MATERIALS} for p in SIZES]
 
 
 def _loss_rows():

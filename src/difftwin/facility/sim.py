@@ -48,10 +48,7 @@ class ScenarioSpec:
             raise ConfigError(f"unknown scenario {self.name!r}")
 
     def flows_at(self, t: float) -> dict:
-        if self.name == "static":
-            return phase_flows("static")
-        phase = int(t // self.phase_period_s) % 2
-        return phase_flows("dyn_a" if phase == 0 else "dyn_b")
+        return phase_flows(self.phase_at(t))
 
     def phase_at(self, t: float) -> str:
         if self.name == "static":

@@ -8,7 +8,9 @@ node, named LOSS_NODE_NAME, receives information messages from the target
 node in the LOSS_COORDS exchange format, switches the chain between
 periods on a fixed schedule, and seeds the gradient avalanche for the
 current step. The information period starts at every step boundary and the
-backpropagation period at every step's midpoint, HALF_STEP.
+backpropagation period at every step's midpoint, HALF_STEP. The loss format
+is the sorter's output block: LOSS_COORDS is the magsorter layout's
+output_coords, the flows out.{material}.{outlet}.{size}.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .models.layouts import STEP_SECONDS
+from .models.layouts import MATERIALS, SIZES, STEP_SECONDS, magsorter_layout
 from .protocol import (
     ACTION_TO_BACKPROPAGATION,
     ACTION_TO_INFORMATION,
@@ -31,21 +33,15 @@ LOSS_NODE_NAME = "loss"
 TARGET_SIZE = "M"  # the size class a sorter outlet is paid for
 HALF_STEP = STEP_SECONDS / 2  # offset of the backpropagation period in a step
 
-# Exchange-format coordinate names for the loss: material, outlet, size.
-LOSS_COORDS = tuple(
-    f"out.{m}.{o}.{p}" for m in ("NFM", "FM") for o in ("NFM", "FM") for p in ("S", "M", "L")
+LOSS_COORDS = magsorter_layout().output_coords
+# Per outlet: the index of its correctly sorted flow and of all its flows.
+_OUTLET_TERMS = tuple(
+    (
+        LOSS_COORDS.index(f"out.{o}.{o}.{TARGET_SIZE}"),
+        [LOSS_COORDS.index(f"out.{m}.{o}.{p}") for m in MATERIALS for p in SIZES],
+    )
+    for o in MATERIALS
 )
-
-
-def _outlet_terms(outlet: str):
-    """Indices of (tp_coord, all outlet coords) for one outlet."""
-    tp = LOSS_COORDS.index(f"out.{outlet}.{outlet}.{TARGET_SIZE}")
-    total = [
-        LOSS_COORDS.index(f"out.{m}.{outlet}.{p}")
-        for m in ("NFM", "FM")
-        for p in ("S", "M", "L")
-    ]
-    return tp, total
 
 
 def loss_evaluate(values) -> float:
@@ -56,8 +52,7 @@ def loss_evaluate(values) -> float:
     """
     v = np.asarray(values, dtype=float)
     total_loss = 0.0
-    for outlet in ("NFM", "FM"):
-        tp_ix, tot_ix = _outlet_terms(outlet)
+    for tp_ix, tot_ix in _OUTLET_TERMS:
         tp = v[tp_ix]
         total = float(np.sum(v[tot_ix]))
         if total <= EPS_FLOW:
@@ -71,8 +66,7 @@ def loss_gradients(values) -> np.ndarray:
     coordinates; zero inside the guarded region."""
     v = np.asarray(values, dtype=float)
     grad = np.zeros(len(LOSS_COORDS))
-    for outlet in ("NFM", "FM"):
-        tp_ix, tot_ix = _outlet_terms(outlet)
+    for tp_ix, tot_ix in _OUTLET_TERMS:
         tp = v[tp_ix]
         total = float(np.sum(v[tot_ix]))
         if total <= EPS_FLOW:

@@ -3,8 +3,6 @@ from .conveyor import conveyor_model, delay_interpolation_weights
 from .layouts import (
     HISTORY_SLOTS,
     MATERIALS,
-    OUTLETS_MAG,
-    OUTLETS_SIEVER,
     SIZES,
     STEP_SECONDS,
     StateLayout,
@@ -31,8 +29,6 @@ __all__ = [
     "delay_interpolation_weights",
     "HISTORY_SLOTS",
     "MATERIALS",
-    "OUTLETS_MAG",
-    "OUTLETS_SIEVER",
     "SIZES",
     "STEP_SECONDS",
     "StateLayout",

@@ -4,6 +4,11 @@ Observation matrices, exchange formats and model rows are all indexed
 against these layouts, so coordinate order is part of the public contract.
 Fusion runs on the concatenated vector [x_next; x_cur]; `nxt`/`cur` map a
 coordinate name into the respective block.
+
+`SIZES` and `MATERIALS` are the only spelled-out copies of the class
+vocabulary; every other module reads them or these layouts. A drum outlet
+is named by the size class it collects and a sorter outlet by the material
+it collects, so the outlet names are `SIZES` and `MATERIALS` as well.
 """
 
 from __future__ import annotations
@@ -12,8 +17,6 @@ from dataclasses import dataclass
 
 SIZES = ("S", "M", "L")
 MATERIALS = ("NFM", "FM")
-OUTLETS_SIEVER = ("S", "M", "L")
-OUTLETS_MAG = ("NFM", "FM")
 
 HISTORY_SLOTS = 8
 STEP_SECONDS = 30.0
@@ -67,7 +70,7 @@ def siever_layout(history_len: int = HISTORY_SLOTS) -> StateLayout:
     names = []
     for cls in SIZES:
         names += [hist_name(cls, h) for h in range(history_len)]
-    outs = [f"out.{o}.{cls}" for o in OUTLETS_SIEVER for cls in SIZES]
+    outs = [f"out.{o}.{cls}" for o in SIZES for cls in SIZES]
     names += outs
     names.append("speed")
     return StateLayout(
@@ -100,9 +103,7 @@ def conveyor_layout(history_len: int = HISTORY_SLOTS) -> StateLayout:
 
 def magsorter_layout() -> StateLayout:
     ins = [f"in.{m}.{p}" for m in MATERIALS for p in SIZES]
-    outs = [
-        f"out.{m}.{o}.{p}" for m in MATERIALS for o in OUTLETS_MAG for p in SIZES
-    ]
+    outs = [f"out.{m}.{o}.{p}" for m in MATERIALS for o in MATERIALS for p in SIZES]
     names = tuple(ins + outs + ["height"])
     return StateLayout(
         machine="magsorter",

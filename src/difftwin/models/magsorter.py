@@ -1,9 +1,13 @@
 """Black-box magnetic sorter model.
 
-Stacks four network rows predicting the per-outlet true/false-positive
-totals from the class input totals and the magnet height, six per-size
-mass-conservation rows, two input-independence rows and six
-output-independence rows. Independence between size class and
+Eighteen residual rows, built once as a table that `evaluate` and
+`jacobian` both read. Four network rows predict the per-outlet
+true/false-positive totals from the class input totals and the magnet
+height. Six per-material, per-size mass-conservation rows say that a
+class's input equals its flow out of both outlets. The two
+input-independence rows and six output-independence rows take one bilinear
+form, r = x[a] * total[g] - x[b] * total[h], where total[g] sums the
+coordinates of index group g. Independence between size class and
 ferromagnetism links the size-resolved state to the size-blind network.
 """
 
@@ -25,119 +29,81 @@ class MagsorterModel(DifferentiableModel):
             raise ValueError("magsorter model needs a trained network with residual_cov")
         self.mlp = mlp
         self.layout = layout
-        self.out_dim = 4 + 6 + 2 + 6
-        cov = np.zeros((self.out_dim, self.out_dim))
-        cov[:4, :4] = mlp.residual_cov
-        cov[4:10, 4:10] = CONSERVATION_VAR * np.eye(6)
-        cov[10:, 10:] = INDEPENDENCE_VAR * np.eye(8)
-        self.noise_cov = cov
+        inp = {(m, p): layout.cur(f"in.{m}.{p}") for m in MATERIALS for p in SIZES}
+        out = {(m, o, p): layout.cur(f"out.{m}.{o}.{p}")
+               for m in MATERIALS for o in MATERIALS for p in SIZES}
+        nfm, fm = MATERIALS
 
-        lay = layout
-        self._in = {(m, p): lay.cur(f"in.{m}.{p}") for m in MATERIALS for p in SIZES}
-        self._out = {
-            (m, o, p): lay.cur(f"out.{m}.{o}.{p}")
-            for m in MATERIALS
-            for o in ("NFM", "FM")
-            for p in SIZES
-        }
-        self._height = lay.cur("height")
-
-        # Network target rows: totals over sizes per (material, outlet).
-        # Output order: TP at FM outlet, FP at FM outlet, TP at NFM outlet,
-        # FP at NFM outlet; "TP" means material matching the outlet.
-        dim = lay.dim
-        self._targets = np.zeros((4, dim))
+        # Network rows: totals over sizes per (material, outlet) in the
+        # network's output order, TP and FP at the FM outlet, then at the NFM
+        # outlet; "TP" means material matching the outlet.
+        self._targets = np.zeros((4, layout.dim))
+        for row, (m, o) in enumerate(((fm, fm), (nfm, fm), (nfm, nfm), (fm, nfm))):
+            for p in SIZES:
+                self._targets[row, out[(m, o, p)]] = 1.0
+        self._u_rows = np.zeros((3, layout.dim))
         for p in SIZES:
-            self._targets[0, self._out[("FM", "FM", p)]] = 1.0
-            self._targets[1, self._out[("NFM", "FM", p)]] = 1.0
-            self._targets[2, self._out[("NFM", "NFM", p)]] = 1.0
-            self._targets[3, self._out[("FM", "NFM", p)]] = 1.0
-        self._u_rows = np.zeros((3, dim))
-        for p in SIZES:
-            self._u_rows[0, self._in[("FM", p)]] = 1.0
-            self._u_rows[1, self._in[("NFM", p)]] = 1.0
-        self._u_rows[2, self._height] = 1.0
+            self._u_rows[0, inp[(fm, p)]] = 1.0
+            self._u_rows[1, inp[(nfm, p)]] = 1.0
+        self._u_rows[2, layout.cur("height")] = 1.0
 
-    def _network_input(self, x):
-        return self._u_rows @ x
+        # Conservation per material and size: input = NFM outlet + FM outlet.
+        self._cons_in = np.array(list(inp.values()))
+        self._cons_out = [np.array([out[(m, o, p)] for m, p in inp]) for o in MATERIALS]
+
+        # Index groups: the per-size input totals (NFM, FM), then per
+        # material its flows over sizes at each outlet.
+        groups = {p: tuple(inp[(m, p)] for m in MATERIALS) for p in SIZES}
+        groups.update({(m, o): tuple(out[(m, o, p)] for p in SIZES)
+                       for m in MATERIALS for o in MATERIALS})
+        self._groups = list(groups.values())
+        at = {key: i for i, key in enumerate(groups)}
+        # Bilinear rows (a, g, b, h). Input independence: the NFM share is the
+        # same in neighbouring size classes. Output independence: each
+        # material's size distribution is the same at both outlets.
+        self._bilinear = [
+            (inp[(nfm, pa)], at[pb], inp[(nfm, pb)], at[pa]) for pa, pb in zip(SIZES, SIZES[1:])
+        ]
+        for m, other in zip(MATERIALS, MATERIALS[::-1]):
+            self._bilinear += [
+                (out[(m, other, p)], at[(m, m)], out[(m, m, p)], at[(m, other)]) for p in SIZES
+            ]
+
+        n_cons = len(inp)
+        var = [0.0] * 4 + [CONSERVATION_VAR] * n_cons + [INDEPENDENCE_VAR] * len(self._bilinear)
+        self.out_dim = len(var)
+        self.noise_cov = np.diag(var)
+        self.noise_cov[:4, :4] = mlp.residual_cov
+        self._cons_rows = np.arange(4, 4 + n_cons)
+        self._bilinear_row0 = 4 + n_cons
+
+    def _totals(self, x):
+        return [sum(x[i] for i in g) for g in self._groups]
 
     def evaluate(self, x):
         r = np.zeros(self.out_dim)
-        u = self._network_input(x)
-        r[:4] = mlp_forward(self.mlp, u) - self._targets @ x
-
-        # Mass conservation per material and size: input equals the sum of
-        # that material over both outlets.
-        row = 4
-        for m in MATERIALS:
-            for p in SIZES:
-                r[row] = (
-                    x[self._in[(m, p)]]
-                    - x[self._out[(m, "NFM", p)]]
-                    - x[self._out[(m, "FM", p)]]
-                )
-                row += 1
-
-        # Input independence: the NFM share is the same across size classes.
-        for pa, pb in (("S", "M"), ("M", "L")):
-            ta = x[self._in[("NFM", pa)]] + x[self._in[("FM", pa)]]
-            tb = x[self._in[("NFM", pb)]] + x[self._in[("FM", pb)]]
-            r[row] = x[self._in[("NFM", pa)]] * tb - x[self._in[("NFM", pb)]] * ta
-            row += 1
-
-        # Output independence: each material's size distribution is the same
-        # at both outlets (capture fraction independent of size).
-        for m in MATERIALS:
-            tp = sum(x[self._out[(m, m, p)]] for p in SIZES)
-            other = "FM" if m == "NFM" else "NFM"
-            fp = sum(x[self._out[(m, other, p)]] for p in SIZES)
-            for p in SIZES:
-                r[row] = x[self._out[(m, other, p)]] * tp - x[self._out[(m, m, p)]] * fp
-                row += 1
+        r[:4] = mlp_forward(self.mlp, self._u_rows @ x) - self._targets @ x
+        nfm_ix, fm_ix = self._cons_out
+        r[self._cons_rows] = x[self._cons_in] - x[nfm_ix] - x[fm_ix]
+        total = self._totals(x)
+        for row, (a, g, b, h) in enumerate(self._bilinear, start=self._bilinear_row0):
+            r[row] = x[a] * total[g] - x[b] * total[h]
         return r
 
     def jacobian(self, x):
         jac = np.zeros((self.out_dim, self.layout.dim))
-        u = self._network_input(x)
-        jac[:4, :] = mlp_jacobian(self.mlp, u) @ self._u_rows - self._targets
-
-        row = 4
-        for m in MATERIALS:
-            for p in SIZES:
-                jac[row, self._in[(m, p)]] = 1.0
-                jac[row, self._out[(m, "NFM", p)]] = -1.0
-                jac[row, self._out[(m, "FM", p)]] = -1.0
-                row += 1
-
-        for pa, pb in (("S", "M"), ("M", "L")):
-            na, fa = self._in[("NFM", pa)], self._in[("FM", pa)]
-            nb, fb = self._in[("NFM", pb)], self._in[("FM", pb)]
-            ta = x[na] + x[fa]
-            tb = x[nb] + x[fb]
-            # r = x[na] * tb - x[nb] * ta
-            jac[row, na] = tb - x[nb]
-            jac[row, fa] = -x[nb]
-            jac[row, nb] = x[na] - ta
-            jac[row, fb] = x[na]
-            row += 1
-
-        for m in MATERIALS:
-            other = "FM" if m == "NFM" else "NFM"
-            tp_ix = [self._out[(m, m, p)] for p in SIZES]
-            fp_ix = [self._out[(m, other, p)] for p in SIZES]
-            tp = sum(x[i] for i in tp_ix)
-            fp = sum(x[i] for i in fp_ix)
-            for p in SIZES:
-                a = self._out[(m, other, p)]  # row's FP-side coordinate
-                b = self._out[(m, m, p)]  # row's TP-side coordinate
-                # r = x[a] * tp - x[b] * fp
-                for i in tp_ix:
-                    jac[row, i] += x[a]
-                for i in fp_ix:
-                    jac[row, i] += -x[b]
-                jac[row, a] += tp
-                jac[row, b] += -fp
-                row += 1
+        jac[:4, :] = mlp_jacobian(self.mlp, self._u_rows @ x) @ self._u_rows - self._targets
+        jac[self._cons_rows, self._cons_in] = 1.0
+        for ix in self._cons_out:
+            jac[self._cons_rows, ix] = -1.0
+        total = self._totals(x)
+        for row, (a, g, b, h) in enumerate(self._bilinear, start=self._bilinear_row0):
+            for i in self._groups[g]:
+                jac[row, i] += x[a]
+            for i in self._groups[h]:
+                jac[row, i] += -x[b]
+            jac[row, a] += total[g]
+            jac[row, b] += -total[h]
         return jac
 
 

@@ -17,15 +17,7 @@ import numpy as np
 
 from ..errors import ConfigError, FitIllConditioned
 from .base import DifferentiableModel
-from .layouts import (
-    HISTORY_SLOTS,
-    OUTLETS_SIEVER,
-    SIZES,
-    STEP_SECONDS,
-    StateLayout,
-    hist_name,
-    siever_layout,
-)
+from .layouts import HISTORY_SLOTS, SIZES, STEP_SECONDS, StateLayout, hist_name, siever_layout
 
 OUTLET_ROW_STD = 2e-3  # model slack on each outlet-flow relation, kg/s
 _CLAMP_SHARPNESS = 2000.0
@@ -125,22 +117,23 @@ def _split_arrays(intercepts, slopes, speed):
     return fractions, derivs
 
 
-def _split_coeff_arrays(coeffs: dict, sizes, outlets):
+def _split_coeff_arrays(coeffs: dict):
     """(outlet x size) arrays of intercepts and slopes from a coefficient dict."""
-    table = np.array([[coeffs[(o, p)] for p in sizes] for o in outlets], dtype=float)
+    table = np.array([[coeffs[(o, p)] for p in SIZES] for o in SIZES], dtype=float)
     return table[..., 0], table[..., 1]
 
 
-def split_fractions(coeffs: dict, speed: float, sizes=SIZES, outlets=OUTLETS_SIEVER):
+def split_fractions(coeffs: dict, speed: float):
     """Per-(outlet, size) split fractions at a drum speed.
 
-    coeffs maps (outlet, size) -> (intercept, slope). Linear values are
+    coeffs maps (outlet, size) -> (intercept, slope); outlets are named by
+    the size class they collect, so both run over SIZES. Linear values are
     smooth-clamped to [0, 1] and renormalized per size class so the outlet
     fractions sum to at most one. Returns (fractions, d/d_speed), both as
     dicts keyed by (outlet, size).
     """
-    frac, dfrac = _split_arrays(*_split_coeff_arrays(coeffs, sizes, outlets), speed)
-    keys = [(o, p) for o in outlets for p in sizes]
+    frac, dfrac = _split_arrays(*_split_coeff_arrays(coeffs), speed)
+    keys = [(o, p) for o in SIZES for p in SIZES]
     return (
         dict(zip(keys, frac.ravel().tolist())),
         dict(zip(keys, dfrac.ravel().tolist())),
@@ -150,36 +143,30 @@ def split_fractions(coeffs: dict, speed: float, sizes=SIZES, outlets=OUTLETS_SIE
 class SieverModel(DifferentiableModel):
     """Within-step outlet rows: out[o][p] = split(speed) * (kernel * history).
 
-    Rows run over (outlet, size) pairs, outlet-major.
+    Rows run over (outlet, size) pairs, outlet-major; outlets are named by
+    the size class they collect.
     """
 
     def __init__(self, layout: StateLayout, kernels: dict, split_coeffs: dict):
         self.layout = layout
-        self.outlets = tuple(OUTLETS_SIEVER)
-        self.sizes = tuple(layout.hist_classes)
-        for o in self.outlets:
+        for o in SIZES:
             if o not in kernels:
                 raise ConfigError(f"missing residence kernel for outlet {o!r}")
             if len(kernels[o].weights) != layout.history_len:
                 raise ConfigError("kernel length disagrees with history length")
-        self.out_dim = len(self.outlets) * len(self.sizes)
+        self.out_dim = len(SIZES) ** 2
         self.noise_cov = OUTLET_ROW_STD**2 * np.eye(self.out_dim)
-        self._intercepts, self._slopes = _split_coeff_arrays(
-            split_coeffs, self.sizes, self.outlets
-        )
+        self._intercepts, self._slopes = _split_coeff_arrays(split_coeffs)
         # (outlet x history) kernel weights and (size x history) indices.
-        self._kernel_w = np.stack([kernels[o].weights for o in self.outlets])
+        self._kernel_w = np.stack([kernels[o].weights for o in SIZES])
         self._speed_ix = layout.cur("speed")
         self._hist_ix = np.array(
-            [[layout.cur(hist_name(p, h)) for h in range(layout.history_len)] for p in self.sizes]
+            [[layout.cur(hist_name(p, h)) for h in range(layout.history_len)] for p in SIZES]
         )
-        self._out_ix = np.array(
-            [layout.cur(f"out.{o}.{p}") for o in self.outlets for p in self.sizes]
-        )
+        self._out_ix = np.array([layout.cur(f"out.{o}.{p}") for o in SIZES for p in SIZES])
         # Per row: the outlet's kernel weights and the size class's history.
-        n_sizes = len(self.sizes)
-        self._row_kernel_w = np.repeat(self._kernel_w, n_sizes, axis=0)
-        self._row_hist_ix = np.tile(self._hist_ix, (len(self.outlets), 1))
+        self._row_kernel_w = np.repeat(self._kernel_w, len(SIZES), axis=0)
+        self._row_hist_ix = np.tile(self._hist_ix, (len(SIZES), 1))
 
     def _split_and_conv(self, x):
         frac, dfrac = _split_arrays(self._intercepts, self._slopes, x[self._speed_ix])

@@ -118,7 +118,7 @@ def _truth_map(machine: str):
                     "mag_in",
                     lambda a, m=m, p=p: a.ferromagnetic == m and a.size == p,
                 )
-                for o in ("NFM", "FM"):
+                for o in MATERIALS:
                     mapping[f"out.{m}.{o}.{p}"] = (
                         f"mag_out_{o}",
                         lambda a, m=m, p=p: a.ferromagnetic == m and a.size == p,
@@ -215,8 +215,10 @@ def run(config: RunConfig) -> RunResult:
             if k == windows:
                 break
 
-            # Push setpoints and simulate window k.
-            for (name, pname), value in sorted(_setpoints(nodes).items()):
+            # Push setpoints and simulate window k. Updates apply only at the
+            # next boundary's switch to information, so the row reuses them.
+            sp = _setpoints(nodes)
+            for (name, pname), value in sorted(sp.items()):
                 facility.set_setpoint(pname, value)
             readings_prev = facility.advance_window()
 
@@ -229,7 +231,6 @@ def run(config: RunConfig) -> RunResult:
                 max_grad_rounds = max(max_grad_rounds, grad_rounds)
             grad = bus.take_stats()
 
-            sp = _setpoints(nodes)
             rows.append(
                 WindowRow(
                     window=k,

@@ -1,10 +1,13 @@
 """Node state machine tests: horizon, ingestion, fusion, gradients, updates."""
 
+import logging
+
 import numpy as np
 import pytest
 
 from difftwin.errors import FrozenStep, GradientOutsidePeriod, UnknownAction, UnknownNeighbor
 from difftwin.gaussian import GaussianEstimate, LinearObservation, kl_divergence_bits
+from difftwin.models.base import DifferentiableModel
 from difftwin.models.layouts import StateLayout
 from difftwin.models.lowpass import lowpass_prediction
 from difftwin.node import (
@@ -43,7 +46,7 @@ def exchange_row(layout):
     return m
 
 
-def make_node(name="a", neighbor_names=(), with_param=False, prior_mean=1.0):
+def make_node(name="a", neighbor_names=(), with_param=False, prior_mean=1.0, process_model=None):
     lay = tank_layout(with_param)
     neighbors = [
         NeighborRegistration(nb, exchange_row(lay)) for nb in neighbor_names
@@ -57,6 +60,7 @@ def make_node(name="a", neighbor_names=(), with_param=False, prior_mean=1.0):
         name=name,
         layout=lay,
         prediction_model=lowpass_prediction(lay, std_inputs=0.5),
+        process_model=process_model,
         neighbors=neighbors,
         parameters=params,
         initial_prior=GaussianEstimate(mean, cov),
@@ -170,6 +174,48 @@ class TestResolve:
         after = node.steps[1].prior
         assert kl_divergence_bits(after, before) > 0.0
         assert node.steps[1].dirty
+
+    def test_failed_fusion_keeps_previous_result(self, caplog):
+        class FlakyModel(DifferentiableModel):
+            """Holds the flow at twice the next step's flow; raises on demand."""
+
+            out_dim = 1
+            noise_cov = np.eye(1)
+            fail = False
+
+            def __init__(self, layout):
+                self.row = np.zeros(layout.dim)
+                self.row[layout.cur("flow")], self.row[layout.nxt("flow")] = 1.0, -2.0
+
+            def evaluate(self, x):
+                if self.fail:
+                    raise RuntimeError("model down")
+                return np.array([self.row @ x])
+
+            def jacobian(self, x):
+                return self.row[None, :]
+
+        model = FlakyModel(tank_layout())
+        node = make_node(process_model=model)
+        node.ensure_horizon(0.0)
+        node.ingest_sensor(0, "s1", flow_obs(node.layout, 2.0))
+        node.pump([])
+        good = node.steps[0].result
+        assert good is not None
+
+        model.fail = True
+        node.ingest_sensor(0, "s1", flow_obs(node.layout, 3.0))
+        with caplog.at_level(logging.WARNING, logger="difftwin.node"):
+            node.pump([])
+        assert node.steps[0].result is good
+        assert "fusion failed" in caplog.text
+
+        model.fail = False
+        node.ingest_sensor(0, "s1", flow_obs(node.layout, 3.0))
+        node.pump([])
+        fused = node.steps[0].result
+        assert fused is not good
+        assert fused.map[node.layout.cur("flow")] > good.map[node.layout.cur("flow")]
 
     def test_clean_step_resolve_is_noop(self):
         node = make_node()

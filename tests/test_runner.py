@@ -124,6 +124,21 @@ class TestConfigs:
         with pytest.raises(ConfigError, match=key):
             build_node(doc)
 
+    @pytest.mark.parametrize("key", ["id", "machine", "models"])
+    def test_missing_field_named(self, prepared_models, key):
+        mlp_doc, fit_doc = prepared_models
+        doc = json.loads(json.dumps(demo_configs(mlp_doc, fit_doc)["siever"]))
+        del doc[key]
+        with pytest.raises(ConfigError, match=f"missing field.*{key}"):
+            build_node(doc)
+
+    def test_unknown_machine_kind_rejected(self, prepared_models):
+        mlp_doc, fit_doc = prepared_models
+        doc = json.loads(json.dumps(demo_configs(mlp_doc, fit_doc)["siever"]))
+        doc["machine"] = "shredder"
+        with pytest.raises(ConfigError, match="unknown machine kind 'shredder'"):
+            build_node(doc)
+
     def test_model_docs_round_trip(self, prepared_models):
         mlp_doc, fit_doc = prepared_models
         mlp = mlp_from_dict(json.loads(json.dumps(mlp_doc)))
