@@ -230,7 +230,9 @@ def solve_map(problem: FusionProblem, x0) -> np.ndarray:
     x0 has an all-zero column: no source constrains that coordinate.
 
     Each trial solves (N + mu I) step = -g with N = J^T J, g = J^T r and
-    mu = lam * mean(diag N), by one Cholesky factorization. The step's
+    mu = lam * mean(diag N): Cholesky verdict, one solve. A Cholesky
+    factorization decides whether N + mu I is positive definite, and one
+    general solve of N + mu I gives the step. The step's
     predicted chi-square decrease is pred = step^T (mu step - g), and the
     gain ratio rho = (chi2 - chi2_try) / pred sets the damping (Nielsen
     1999): a step with finite residual and rho > 0 is accepted and lam is
@@ -275,8 +277,10 @@ def solve_map(problem: FusionProblem, x0) -> np.ndarray:
         scale = max(float(np.mean(np.diag(normal))), 1e-300)
         while True:
             mu = lam * scale
+            damped = normal + mu * eye
             try:
-                chol = np.linalg.cholesky(normal + mu * eye)
+                # The factor is only the positive-definite verdict.
+                np.linalg.cholesky(damped)
             except np.linalg.LinAlgError:
                 lam, nu = lam * nu, 2.0 * nu
                 if lam > _LAMBDA_MAX:
@@ -284,7 +288,7 @@ def solve_map(problem: FusionProblem, x0) -> np.ndarray:
                         "normal equations not invertible after damping escalation"
                     ) from None
                 continue
-            step = -np.linalg.solve(chol.T, np.linalg.solve(chol, g))
+            step = -np.linalg.solve(damped, g)
             x_try = x + step
             pred = float(step @ (mu * step - g))
             if pred <= _GN_PRED_RTOL * chi2:
@@ -465,14 +469,15 @@ def implicit_jacobian(lin: Linearization) -> dict:
     source ids, values are (dim x out_dim) arrays.
     """
     problem, jac, chol = lin.problem, lin.jac, lin.chol
-    chunks = {}
+    # chunk = w * N^{-1} J_src^T Gamma_src^{-1}; the sources' right-hand
+    # sides sit side by side, so two solves serve them all.
+    rhs = np.empty((problem.dim, problem.beta_dim))
     for src, (sid, off, m), L in zip(problem.sources, problem.offsets, problem._whiteners):
         w = problem.weights.weight_for(src.ci_group)
-        # chunk = w * N^{-1} J_src^T Gamma_src^{-1}
         js = jac[off : off + m, :]  # already sqrt(w) L J_src
-        b = js.T @ (math.sqrt(w) * L)
-        chunks[sid] = np.linalg.solve(chol.T, np.linalg.solve(chol, b))
-    return chunks
+        rhs[:, off : off + m] = js.T @ (math.sqrt(w) * L)
+    full = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+    return {sid: full[:, off : off + m] for sid, off, m in problem.offsets}
 
 
 @dataclass

@@ -3,6 +3,12 @@
 All covariances are plain dense float64 arrays. Symmetry is enforced by
 symmetrization at construction; near-singular matrices are regularized only
 inside whitening and KL, never in stored state.
+
+Every GaussianEstimate is checked when it is built, by one factorization:
+the covariance is accepted when cov + tau I has a Cholesky factor, with
+tau = 1e-10 * trace(cov) (at least 1e-300). A positive semi-definite
+covariance, singular ones included, always passes; one whose smallest
+eigenvalue lies below -1e-10 * trace(cov) never does.
 """
 
 from __future__ import annotations
@@ -18,6 +24,9 @@ from .errors import DimensionMismatch, SingularCovariance
 _SINGULAR_RTOL = 1e-12
 # Regularization scale used transiently inside whitening and KL.
 _REG_RTOL = 1e-10
+# Diagonal shift, relative to the trace, under which an estimate's
+# covariance must still have a Cholesky factor.
+_PSD_RTOL = 1e-10
 
 
 def _as_vector(x) -> np.ndarray:
@@ -44,8 +53,11 @@ def symmetrize(cov) -> np.ndarray:
 class GaussianEstimate:
     """Mean vector plus symmetric PSD covariance; the unit of exchanged state.
 
-    The covariance is symmetrized on construction. Validation rejects
-    covariances with eigenvalues below -1e-10 times the largest eigenvalue.
+    The covariance is symmetrized on construction and validated by one
+    Cholesky factorization of cov + tau I, tau = 1e-10 * max(trace(cov),
+    1e-300): SingularCovariance, reporting the eigenvalue range, when that
+    factorization fails. Every PSD covariance passes, and every covariance
+    with an eigenvalue below -1e-10 * trace(cov) is rejected.
     """
 
     mean: np.ndarray
@@ -60,13 +72,16 @@ class GaussianEstimate:
             )
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
             raise ValueError("GaussianEstimate requires finite mean and cov")
-        eigs = np.linalg.eigvalsh(cov)
-        top = max(eigs[-1], 0.0)
-        if eigs[0] < -1e-10 * max(top, 1e-300):
+        shifted = cov.copy()
+        shifted.flat[:: cov.shape[0] + 1] += _PSD_RTOL * max(float(np.trace(cov)), 1e-300)
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            eigs = np.linalg.eigvalsh(cov)
             raise SingularCovariance(
                 f"covariance indefinite: min eigenvalue {eigs[0]:.3e} "
-                f"vs max {top:.3e}"
-            )
+                f"vs max {max(eigs[-1], 0.0):.3e}"
+            ) from None
         mean.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
@@ -167,10 +182,18 @@ def kl_divergence_bits(p: GaussianEstimate, q: GaussianEstimate) -> float:
     """KL(p || q) between two Gaussians, in bits.
 
     Standard closed form in nats divided by ln 2. Both covariances are
-    transiently regularized; result is clamped at zero against round-off.
+    transiently regularized; result is clamped at zero against round-off,
+    and is exactly zero for equal estimates.
+
+    With Cholesky factors Sigma_p = C_p C_p^T and Sigma_q = C_q C_q^T, one
+    solve Y = C_q^{-1} [C_p | mu_q - mu_p] gives both data terms:
+    tr(Sigma_q^{-1} Sigma_p) is the squared Frobenius norm of Y's first k
+    columns and the Mahalanobis term the squared norm of its last column.
     """
     if p.dim != q.dim:
         raise DimensionMismatch(f"dimension mismatch: {p.dim} vs {q.dim}")
+    if p == q:
+        return 0.0
     k = p.dim
     cov_p = _regularized(np.asarray(p.cov))
     cov_q = _regularized(np.asarray(q.cov))
@@ -179,12 +202,9 @@ def kl_divergence_bits(p: GaussianEstimate, q: GaussianEstimate) -> float:
         chol_p = np.linalg.cholesky(cov_p)
     except np.linalg.LinAlgError as exc:
         raise SingularCovariance(f"KL requires invertible covariances: {exc}") from exc
-    # tr(Sigma_q^{-1} Sigma_p) via triangular solves.
-    a = np.linalg.solve(chol_q, cov_p)
-    tr = float(np.trace(np.linalg.solve(chol_q, a.T)))
-    diff = q.mean - p.mean
-    y = np.linalg.solve(chol_q, diff)
-    maha = float(y @ y)
+    y = np.linalg.solve(chol_q, np.column_stack([chol_p, q.mean - p.mean]))
+    tr = float(np.sum(y[:, :k] ** 2))
+    maha = float(y[:, k] @ y[:, k])
     logdet_q = 2.0 * float(np.sum(np.log(np.diag(chol_q))))
     logdet_p = 2.0 * float(np.sum(np.log(np.diag(chol_p))))
     nats = 0.5 * (tr + maha - k + logdet_q - logdet_p)

@@ -165,6 +165,8 @@ class TimeStepRecord:
     comms: dict = field(default_factory=dict)
     result: FusionResult | None = None
     dirty: bool = True
+    # The information gate has tested this result against sent_cache.
+    gated: bool = False
     sent_cache: dict = field(default_factory=dict)
     sent_grad_max: dict = field(default_factory=dict)
     grad_out: dict = field(default_factory=dict)
@@ -396,6 +398,7 @@ class Node:
             return rec.result
         rec.result = result
         rec.dirty = False
+        rec.gated = False
         succ = self.steps.get(step + 1)
         if succ is not None:
             new_prior = self._next_prior(result)
@@ -419,8 +422,11 @@ class Node:
         out = []
         for step in sorted(self.steps):
             rec = self.steps[step]
-            if rec.result is None:
+            # sent_cache changes only on a send, so a result gated before
+            # would be sent or suppressed exactly as it was then.
+            if rec.result is None or rec.gated:
                 continue
+            rec.gated = True
             est = GaussianEstimate(rec.result.map, rec.result.post_cov)
             for nb in sorted(self.neighbors):
                 reg = self.neighbors[nb]

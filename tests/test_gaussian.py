@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from difftwin.errors import DimensionMismatch, SingularCovariance
 from difftwin.gaussian import (
@@ -49,6 +51,69 @@ class TestGaussianEstimate:
     def test_allows_degenerate_psd(self):
         est = GaussianEstimate([0.0, 0.0], np.diag([1.0, 0.0]))
         assert est.dim == 2
+
+
+def with_eigenvalues(rng, eigs):
+    """Symmetric matrix with the given spectrum in a random orthonormal basis."""
+    q, _ = np.linalg.qr(rng.standard_normal((len(eigs), len(eigs))))
+    return q @ np.diag(eigs) @ q.T
+
+
+def eigvalsh_verdict(cov):
+    """The eigenvalue rule the factorization check replaced: accept unless the
+    smallest eigenvalue is below -1e-10 times the largest."""
+    eigs = np.linalg.eigvalsh(0.5 * (cov + cov.T))
+    return not eigs[0] < -1e-10 * max(max(eigs[-1], 0.0), 1e-300)
+
+
+def accepted(cov):
+    try:
+        GaussianEstimate(np.zeros(cov.shape[0]), cov)
+    except SingularCovariance:
+        return False
+    return True
+
+
+class TestFactorizationCheck:
+    @pytest.mark.parametrize(
+        "cov",
+        [
+            np.zeros((3, 3)),
+            np.diag([1.0, 0.0]),
+            with_eigenvalues(np.random.default_rng(1), [-1e-13, 0.25, 0.5, 1.0]),
+        ],
+        ids=["zero", "diag-1-0", "min-eig-minus-1e-13-max"],
+    )
+    def test_accepts_psd_and_round_off_negative(self, cov):
+        assert accepted(cov)
+
+    def test_rejection_reports_eigenvalues(self):
+        with pytest.raises(SingularCovariance, match=r"min eigenvalue -1\.000e-03 vs max 1\.000e\+00"):
+            GaussianEstimate([0.0, 0.0], np.diag([1.0, -1e-3]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 68),
+        kind=st.sampled_from(["symmetric", "psd", "low-rank", "negative-tail"]),
+    )
+    def test_agrees_with_eigvalsh_outside_the_tolerance_band(self, seed, n, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "symmetric":
+            a = rng.standard_normal((n, n))
+            cov = a + a.T
+        elif kind == "psd":
+            cov = with_eigenvalues(rng, 10.0 ** rng.uniform(-8, 8, n))
+        elif kind == "low-rank":
+            a = rng.standard_normal((n, int(rng.integers(0, n + 1))))
+            cov = a @ a.T
+        else:
+            eigs = rng.uniform(0.0, 1.0, n)
+            eigs[0] = -(10.0 ** rng.uniform(-13, 0)) * eigs.sum()
+            cov = with_eigenvalues(rng, eigs)
+        eigs = np.linalg.eigvalsh(0.5 * (cov + cov.T))
+        if 0.0 <= eigs[0] or eigs[0] < -1e-10 * np.trace(cov):
+            assert accepted(cov) == eigvalsh_verdict(cov)
 
 
 class TestLinearObservation:
@@ -130,6 +195,23 @@ class TestKlDivergence:
             assert kl >= 0.0
             if kl <= 1e-12:
                 np.testing.assert_allclose(p.mean, q.mean, atol=1e-5)
+
+    @pytest.mark.parametrize("n", [38, 54, 68])
+    def test_fusion_dims_vs_reference(self, n):
+        rng = np.random.default_rng(n)
+
+        def regularized(cov):
+            # The oracle sees the documented transient 1e-10 * trace / n shift.
+            return cov + 1e-10 * np.trace(cov) / n * np.eye(n)
+
+        for _ in range(5):
+            p = GaussianEstimate(rng.standard_normal(n), random_spd(rng, n))
+            q = GaussianEstimate(rng.standard_normal(n), random_spd(rng, n))
+            want = kl_nats_reference(
+                p.mean, regularized(p.cov), q.mean, regularized(q.cov)
+            ) / math.log(2.0)
+            assert kl_divergence_bits(p, q) == pytest.approx(want, rel=1e-10)
+            assert kl_divergence_bits(p, GaussianEstimate(p.mean, p.cov)) == 0.0
 
     def test_dimension_mismatch(self):
         p = GaussianEstimate([0.0], [[1.0]])

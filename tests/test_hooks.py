@@ -44,3 +44,35 @@ def test_every_hook_but_the_tcp_hub_rounds_finds_its_target(spans):
     # One router serves both transports: TCP rounds run on InMemoryBus, so
     # the hub has no exchange loop of its own to wrap.
     assert missing == ["TcpHub.run_until_quiescent"]
+
+
+def test_fusion_counters_see_the_kernels_of_one_fuse(spans):
+    """A kernel that binds numpy's cholesky or the fusion helpers by name
+    bypasses the wrappers; one fuse with a communication source must still
+    move each fusion counter."""
+    import numpy as np
+
+    import difftwin.fusion as fusion
+    from difftwin.gaussian import GaussianEstimate, LinearObservation
+
+    def source(sid, kind, matrix, mean, var):
+        value = GaussianEstimate(mean, var * np.eye(len(mean)))
+        return fusion.InformationSource(sid, kind, LinearObservation(matrix, value))
+
+    problem = fusion.FusionProblem(
+        2,
+        [
+            source("prior", fusion.KIND_PRIOR, np.eye(2), [0.0, 0.0], 1.0),
+            source("s:a", fusion.KIND_SENSOR, [[1.0, 1.0]], [1.0], 0.5),
+            source("c:b", fusion.KIND_COMMUNICATION, [[1.0, 0.0]], [2.0], 0.25),
+        ],
+    )
+    tracer, patcher = spans.Tracer(), spans.Patcher()
+    try:
+        spans.install(tracer, patcher)
+        fusion.fuse(problem, np.zeros(2))
+        counts = dict(tracer.counts)
+    finally:
+        patcher.undo()
+    for key in ("fusion.cholesky_n", "fusion.logdet_n", "fusion.assemble_n"):
+        assert counts.get(key, 0) > 0, key

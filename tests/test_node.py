@@ -240,6 +240,34 @@ class TestInfoMessages:
         node.generate_info_messages()
         assert node.generate_info_messages() == []
 
+    def test_gate_skips_steps_not_fused_since_last_gate(self, monkeypatch):
+        import difftwin.node as node_module
+
+        gated = []
+
+        def counting_kl(p, q):
+            gated.append((p, q))
+            return kl_divergence_bits(p, q)
+
+        monkeypatch.setattr(node_module, "kl_divergence_bits", counting_kl)
+        node = make_node(neighbor_names=("b", "c"))
+        node.ensure_horizon(0.0)
+        node.resolve_all()
+        assert len(node.generate_info_messages()) == 2 * len(node.steps)
+        assert gated == []  # first sends compare against nothing
+        assert node.generate_info_messages() == []
+        assert gated == []
+        node.ingest_sensor(0, "s1", flow_obs(node.layout, 3.0, var=0.1))
+        node.resolve_all()
+        fused_again = [s for s, rec in node.steps.items() if not rec.gated]
+        msgs = node.generate_info_messages()
+        assert 0 in fused_again
+        assert len(gated) == 2 * len(fused_again)
+        assert {(m.recipient, m.time_stamp) for m in msgs} >= {("b", 0), ("c", 0)}
+        gated.clear()
+        assert node.generate_info_messages() == []
+        assert gated == []
+
 
 class TestGradients:
     def _backprop_ready_node(self, neighbor_names=("b",), with_param=False):
