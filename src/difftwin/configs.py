@@ -27,7 +27,7 @@ from .models import (
     siever_model,
 )
 from .models.io import FORMAT_VERSION, mlp_from_dict, siever_fit_from_dict
-from .models.layouts import MATERIALS, SIZES, StateLayout
+from .models.layouts import MATERIALS, MID_LINE, SIZES, StateLayout
 from .lossnode import LOSS_COORDS, LOSS_NODE_NAME
 from .node import (
     DEFAULT_DELTA_INFO_BITS,
@@ -147,7 +147,7 @@ def build_node(config: dict) -> Node:
 
 
 def _siever_exchange_rows():
-    return [{f"out.M.{p}": 1.0} for p in SIZES]
+    return [{f"out.{MID_LINE}.{p}": 1.0} for p in SIZES]
 
 
 def _conveyor_in_rows():
@@ -226,14 +226,13 @@ def demo_configs(
                 "id": "mag_in",
                 "row": {f"in.{m}.{p}": 1.0 for m in MATERIALS for p in SIZES},
             },
-            {
-                "id": "mag_out_FM",
-                "row": {f"out.{m}.FM.{p}": 1.0 for m in MATERIALS for p in SIZES},
-            },
-            {
-                "id": "mag_out_NFM",
-                "row": {f"out.{m}.NFM.{p}": 1.0 for m in MATERIALS for p in SIZES},
-            },
+            *[
+                {
+                    "id": f"mag_out_{o}",
+                    "row": {f"out.{m}.{o}.{p}": 1.0 for m in MATERIALS for p in SIZES},
+                }
+                for o in MATERIALS
+            ],
         ],
         "parameters": [
             {"name": "height", "coord": "height", "lower": 8.0, "upper": 16.0, "initial": initial_height}

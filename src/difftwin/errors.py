@@ -84,3 +84,7 @@ class TrainingDiverged(DifftwinError):
 
 class FitIllConditioned(DifftwinError):
     """Least-squares design matrix is rank deficient."""
+
+
+class KernelFailure(DifftwinError):
+    """A dense linear-algebra kernel failed inside one fusion."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError
-from ..models.layouts import SIZES, STEP_SECONDS
+from ..models.layouts import MATERIALS, MID_LINE, SIZES, STEP_SECONDS
 from .articles import CATALOG, phase_flows
 from .truth import FacilityParams, siever_split
 
@@ -24,12 +24,9 @@ log = logging.getLogger(__name__)
 
 SENSOR_LOCATIONS = (
     "siever_in",
-    "siever_out_S",
-    "siever_out_M",
-    "siever_out_L",
+    *(f"siever_out_{o}" for o in SIZES),
     "mag_in",
-    "mag_out_FM",
-    "mag_out_NFM",
+    *(f"mag_out_{o}" for o in MATERIALS),
 )
 LOSS_LOCATIONS = ("siever_lost", "mag_lost")
 
@@ -207,7 +204,7 @@ class Facility:
         exit_times, exit_classes, exit_outlets = self._siever_pending.pop_due(t_end)
         for et, ci, oi in zip(exit_times, exit_classes, exit_outlets):
             counts[f"siever_out_{SIZES[oi]}"][ci] += 1
-        m_line = exit_outlets == SIZES.index("M")
+        m_line = exit_outlets == SIZES.index(MID_LINE)
         if np.any(m_line):
             self._mag_pending.push(
                 exit_times[m_line] + self.params.conveyor_delay,
@@ -224,6 +221,7 @@ class Facility:
                 counts["mag_in"][ci] += 1
             pc = self.params.magnet.p_capture(height)
             pd = self.params.magnet.p_drag(height)
+            nfm, fm = MATERIALS
             lost_draw = self.rng.random(len(at)) < self.params.mag_loss_prob
             route_draw = self.rng.random(len(at))
             for i, ci in enumerate(ac):
@@ -231,10 +229,9 @@ class Facility:
                     counts["mag_lost"][ci] += 1
                     self._outlet_mass += CATALOG[ci].mass
                     continue
-                is_fm = CATALOG[ci].ferromagnetic == "FM"
+                is_fm = CATALOG[ci].ferromagnetic == fm
                 to_fm_outlet = route_draw[i] < (pc if is_fm else pd)
-                loc = "mag_out_FM" if to_fm_outlet else "mag_out_NFM"
-                counts[loc][ci] += 1
+                counts[f"mag_out_{fm if to_fm_outlet else nfm}"][ci] += 1
                 self._outlet_mass += CATALOG[ci].mass
 
         readings = {}

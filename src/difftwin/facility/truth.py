@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..models.layouts import SIZES
+from ..models.layouts import MATERIALS, MID_LINE, SIZES
 from ..models.siever import split_fractions
 from .articles import CATALOG
 
@@ -85,11 +85,10 @@ def siever_split(params: FacilityParams, speed: float) -> dict:
 def expected_mag_inputs(params: FacilityParams, flows: dict, speed: float) -> dict:
     """Stationary mid-size-line sorter input flows per (material, size)."""
     frac = siever_split(params, speed)
-    inputs = {("NFM", p): 0.0 for p in SIZES}
-    inputs.update({("FM", p): 0.0 for p in SIZES})
+    inputs = {(m, p): 0.0 for m in MATERIALS for p in SIZES}
     for art in CATALOG:
         f = flows.get(art.name, 0.0)
-        inputs[(art.ferromagnetic, art.size)] += f * frac[("M", art.size)]
+        inputs[(art.ferromagnetic, art.size)] += f * frac[(MID_LINE, art.size)]
     return inputs
 
 
@@ -98,14 +97,15 @@ def expected_mag_outputs(params: FacilityParams, mag_inputs: dict, height: float
     keep = 1.0 - params.mag_loss_prob
     pc = params.magnet.p_capture(height)
     pd = params.magnet.p_drag(height)
+    nfm, fm = MATERIALS
     out = {}
     for p in SIZES:
-        fm = mag_inputs[("FM", p)] * keep
-        nfm = mag_inputs[("NFM", p)] * keep
-        out[("FM", "FM", p)] = fm * pc
-        out[("FM", "NFM", p)] = fm * (1.0 - pc)
-        out[("NFM", "FM", p)] = nfm * pd
-        out[("NFM", "NFM", p)] = nfm * (1.0 - pd)
+        # Ferromagnetic articles are captured to the FM outlet, the others
+        # dragged there.
+        for m, to_fm in ((fm, pc), (nfm, pd)):
+            kept = mag_inputs[(m, p)] * keep
+            out[(m, fm, p)] = kept * to_fm
+            out[(m, nfm, p)] = kept * (1.0 - to_fm)
     return out
 
 

@@ -8,10 +8,6 @@ the fused information, and differentiates the MAP with respect to every
 source value through the implicit function theorem (second-order residual
 terms omitted).
 
-At the MAP the stacked system is assembled and its normal matrix factored
-once, in a `Linearization`; the posterior covariance, the chi-square value
-and the implicit Jacobian are all read from that one factor.
-
 A source's payload is either a LinearObservation, rows M x with a
 Gaussian value, or a differentiable model, rows f(x) with a Jacobian and
 noise covariance; constant model rows are LinearObservations with a
@@ -20,6 +16,31 @@ process model, parameter and sensor rows share the single local weight;
 the prediction rows are fixed at weight one; every communication source
 carries its own weight. The local and communication weights live on the
 simplex.
+
+A node re-fuses a step many times over, so a fusion reuses what does not
+change between its solves (the information form; Dellaert & Kaess 2017):
+
+- Whitening. Each source's whitening operator L is computed once per
+  immutable noise covariance: it is cached with the value estimate of a
+  LinearObservation, shared by estimates made with `with_mean`, and on the
+  model object for model noise.
+- Fixed rows. Once per problem, `FixedRows` forms the whitened rows
+  A = L M of every LinearObservation and, per CI group, the information
+  Lambda_g = sum A^T A. Each Levenberg-Marquardt trial point evaluates only
+  the model rows; the normal matrix is sum_g w_g Lambda_g plus the model
+  rows' J^T J. A linear residual is always L (M x - mu), never A x - L mu,
+  which cancels on tight rows such as the parameter rows. An all-linear
+  problem is solved by one exact Newton step, x - N^-1 g, with one
+  factorization. `fuse` drops the fixed rows before it returns.
+- CI weights. The weight search starts from the step's previous weights
+  when their communication groups are the problem's, and from uniform
+  weights otherwise.
+
+At the MAP the whole stacked system is assembled and its normal matrix
+factored once, in a `Linearization`; the posterior covariance, the
+chi-square value and the implicit Jacobian are all read from that one
+factor. A numpy linear-algebra failure inside `fuse` is raised as
+KernelFailure, so a node can keep its previous result.
 """
 
 from __future__ import annotations
@@ -31,6 +52,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    KernelFailure,
     ModelEvaluationError,
     NonFiniteResidual,
     SingularInformation,
@@ -136,6 +158,25 @@ def naive_weights(problem: "FusionProblem") -> CiWeights:
     )
 
 
+def _whitening(src: InformationSource) -> np.ndarray:
+    """The source's whitening operator, computed once per noise covariance:
+    in the cache of an observation's value estimate, or on the model object
+    as (noise_cov, L) in `_fusion_whitening`, valid while its noise_cov
+    stays the same object."""
+    if not src.is_model:
+        value = src.payload.value
+        whitening = value.cov_cache.get("whitening")
+        if whitening is None:
+            whitening = value.cov_cache["whitening"] = whitening_from_cov_fast(value.cov)
+        return whitening
+    model = src.payload
+    cached = getattr(model, "_fusion_whitening", None)
+    if cached is None or cached[0] is not model.noise_cov:
+        cached = (model.noise_cov, whitening_from_cov_fast(src.noise_cov()))
+        object.__setattr__(model, "_fusion_whitening", cached)
+    return cached[1]
+
+
 class FusionProblem:
     """One time step's assembled inference over the concatenated state."""
 
@@ -167,9 +208,10 @@ class FusionProblem:
             self.offsets.append((src.id, off, m))
             off += m
         self.beta_dim = off
-        # Whitening operators are fixed per source (covariances immutable).
-        self._whiteners = [whitening_from_cov_fast(s.noise_cov()) for s in self.sources]
+        self.all_linear = not any(s.is_model for s in self.sources)
+        self._whiteners = [_whitening(s) for s in self.sources]
         self.weights = naive_weights(self)
+        self._fixed = None
 
     def comm_groups(self):
         return [s.ci_group for s in self.sources if s.kind == KIND_COMMUNICATION]
@@ -182,6 +224,16 @@ class FusionProblem:
 
     def set_weights(self, weights: CiWeights):
         self.weights = weights
+
+    def fixed_rows(self) -> FixedRows:
+        """The whitened linear rows, formed on first use and kept until
+        release_fixed_rows."""
+        if self._fixed is None:
+            self._fixed = FixedRows(self)
+        return self._fixed
+
+    def release_fixed_rows(self):
+        self._fixed = None
 
     # -- residual stacking ------------------------------------------------
 
@@ -223,28 +275,106 @@ class FusionProblem:
         return [f"x[{i}]" for i in indices]
 
 
+class FixedRows:
+    """The rows of a problem's LinearObservation sources, whitened once.
+
+    `sources` holds (ci_group, L, observation, A = L M) per linear source in
+    problem order, `info` the unweighted information Lambda_g = sum A^T A
+    per CI group.
+    """
+
+    def __init__(self, problem: FusionProblem):
+        self.sources = []
+        self.info = {}
+        for src, L in zip(problem.sources, problem._whiteners):
+            if src.is_model:
+                continue
+            a = L @ src.payload.matrix
+            self.sources.append((src.ci_group, L, src.payload, a))
+            info = a.T @ a
+            group = src.ci_group
+            self.info[group] = self.info[group] + info if group in self.info else info
+
+    def residuals(self, x) -> list:
+        """Unweighted whitened residuals L (M x - mu), one per source."""
+        return [L @ (obs.matrix @ x - obs.value.mean) for _, L, obs, _ in self.sources]
+
+
+class _WeightedSystem:
+    """The chi-square, gradient and normal matrix of a problem under its
+    current weights: fixed rows from FixedRows, model rows evaluated per
+    point. The gradient of chi-square is 2 g."""
+
+    def __init__(self, problem: FusionProblem):
+        self.problem = problem
+        self.fixed = problem.fixed_rows()
+        weight = problem.weights.weight_for
+        self.linear_w = [weight(group) for group, *_ in self.fixed.sources]
+        self.models = [
+            (weight(src.ci_group), src, L)
+            for src, L in zip(problem.sources, problem._whiteners)
+            if src.is_model
+        ]
+        self.linear_normal = np.zeros((problem.dim, problem.dim))
+        for group, info in self.fixed.info.items():
+            self.linear_normal += weight(group) * info
+
+    def at(self, x):
+        """(chi2, linear residuals, model (L f, L J) rows) at x."""
+        linear = self.fixed.residuals(x)
+        models = [self.problem._source_rows(src, L, x) for _, src, L in self.models]
+        chi2 = sum(w * float(r @ r) for w, r in zip(self.linear_w, linear))
+        chi2 += sum(w * float(r @ r) for (w, _, _), (r, _) in zip(self.models, models))
+        return chi2, linear, models
+
+    def gradient(self, linear, models) -> np.ndarray:
+        g = np.zeros(self.problem.dim)
+        for w, (_, _, _, a), r in zip(self.linear_w, self.fixed.sources, linear):
+            g += w * (a.T @ r)
+        for (w, _, _), (r, j) in zip(self.models, models):
+            g += w * (j.T @ r)
+        return g
+
+    def normal(self, models) -> np.ndarray:
+        normal = self.linear_normal.copy()
+        for (w, _, _), (_, j) in zip(self.models, models):
+            normal += w * (j.T @ j)
+        return normal
+
+
 def solve_map(problem: FusionProblem, x0) -> np.ndarray:
-    """Levenberg-Marquardt minimization of the stacked squared residual.
+    """Minimize the weighted chi-square in information form.
 
-    Raises WellPosednessError, naming the coordinates, when the Jacobian at
-    x0 has an all-zero column: no source constrains that coordinate.
+    Raises WellPosednessError, naming the coordinates, when the normal
+    matrix at x0 has a zero diagonal entry: no source constrains that
+    coordinate.
 
-    Each trial solves (N + mu I) step = -g with N = J^T J, g = J^T r and
-    mu = lam * mean(diag N): Cholesky verdict, one solve. A Cholesky
-    factorization decides whether N + mu I is positive definite, and one
-    general solve of N + mu I gives the step. The step's
-    predicted chi-square decrease is pred = step^T (mu step - g), and the
-    gain ratio rho = (chi2 - chi2_try) / pred sets the damping (Nielsen
-    1999): a step with finite residual and rho > 0 is accepted and lam is
-    scaled by max(1/3, 1 - (2 rho - 1)^3), floored at 1e-12; otherwise lam
-    is multiplied by nu, which doubles on every consecutive rejection.
+    The normal matrix is N = sum_g w_g Lambda_g + J_m^T J_m and the
+    half-gradient g = sum_s w_s A_s^T r_s + J_m^T r_m, with the fixed rows
+    of `FixedRows` and the model rows J_m, r_m evaluated at the point. The
+    gradient test holds when the max-norm of the chi-square gradient 2 g is
+    at most 1e-9 * max(1, chi2).
 
-    Stops when the max-norm of the chi-square gradient falls below
-    1e-9 * max(1, chi2); when pred <= 1e-14 * chi2, returning x + step
-    without assembling it, since no comparison of chi2 values can resolve
-    a decrease that small; after 200 accepted iterations; or, returning the
-    current point, when a rejected step pushes lam above 1e12. A failed
-    Cholesky factorization at lam above 1e12 raises SingularNormalEquations.
+    An all-linear problem takes one exact Newton step, x0 - N^-1 g, from
+    one factorization (none when x0 passes the gradient test); a singular
+    N raises SingularNormalEquations.
+
+    Otherwise Levenberg-Marquardt: each trial solves (N + mu I) step = -g
+    with mu = lam * mean(diag N). A Cholesky factorization decides whether
+    N + mu I is positive definite, and one general solve gives the step.
+    The step's predicted chi-square decrease is pred = step^T (mu step - g),
+    and the gain ratio rho = (chi2 - chi2_try) / pred sets the damping
+    (Nielsen 1999): a step with finite chi2 and rho > 0 is accepted and lam
+    is scaled by max(1/3, 1 - (2 rho - 1)^3), floored at 1e-12; otherwise
+    lam is multiplied by nu, which doubles on every consecutive rejection.
+    Only the model rows are evaluated at a trial point.
+
+    Stops on the gradient test; when pred <= 1e-14 * chi2, returning
+    x + step without evaluating it, since no comparison of chi2 values can
+    resolve a decrease that small; after 200 accepted iterations; or,
+    returning the current point, when a rejected step pushes lam above
+    1e12. A failed Cholesky factorization at lam above 1e12 raises
+    SingularNormalEquations.
     """
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (problem.dim,):
@@ -252,28 +382,41 @@ def solve_map(problem: FusionProblem, x0) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise NonFiniteResidual("x0 contains non-finite entries")
 
-    r, jac = problem.assemble(x)
-    col = np.einsum("ij,ij->j", jac, jac)
-    scale = float(np.max(col)) if col.size else 0.0
-    dead = np.nonzero(col <= 1e-300 * max(scale, 1.0))[0]
+    system = _WeightedSystem(problem)
+    chi2, linear, models = system.at(x)
+    normal = system.normal(models)
+    diag = np.diag(normal)
+    scale = float(np.max(diag)) if diag.size else 0.0
+    dead = np.nonzero(diag <= 1e-300 * max(scale, 1.0))[0]
     if dead.size:
         names = problem.coord_names_at(dead)
         raise WellPosednessError(
             f"no information source constrains coordinates: {', '.join(names)}",
             uninformed=names,
         )
-    if not np.all(np.isfinite(r)):
+    if not math.isfinite(chi2):
         raise NonFiniteResidual("residual non-finite at the initial point")
-    chi2 = float(r @ r)
+
+    def converged(g, chi2):
+        return 2.0 * np.max(np.abs(g)) <= _GN_GRAD_RTOL * max(1.0, chi2)
+
+    if not system.models:
+        g = system.gradient(linear, models)
+        if converged(g, chi2):
+            return x
+        try:
+            return x - np.linalg.solve(normal, g)
+        except np.linalg.LinAlgError:
+            raise SingularNormalEquations(
+                "normal equations of a linear problem are singular"
+            ) from None
+
     lam, nu = 1e-10, 2.0
     eye = np.eye(problem.dim)
-
     for _ in range(_GN_MAX_ITER):
-        g = jac.T @ r
-        # The chi-square gradient is 2 g.
-        if 2.0 * np.max(np.abs(g)) <= _GN_GRAD_RTOL * max(1.0, chi2):
+        g = system.gradient(linear, models)
+        if converged(g, chi2):
             return x
-        normal = jac.T @ jac
         scale = max(float(np.mean(np.diag(normal))), 1e-300)
         while True:
             mu = lam * scale
@@ -294,12 +437,12 @@ def solve_map(problem: FusionProblem, x0) -> np.ndarray:
             if pred <= _GN_PRED_RTOL * chi2:
                 # Round-off floor: the decrease is below what chi2 resolves.
                 return x_try
-            r_try, jac_try = problem.assemble(x_try)
-            if np.all(np.isfinite(r_try)):
-                chi2_try = float(r_try @ r_try)
+            chi2_try, linear_try, models_try = system.at(x_try)
+            if math.isfinite(chi2_try):
                 rho = (chi2 - chi2_try) / pred
                 if rho > 0.0:
-                    x, r, jac, chi2 = x_try, r_try, jac_try, chi2_try
+                    x, chi2, linear, models = x_try, chi2_try, linear_try, models_try
+                    normal = system.normal(models)
                     lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 1e-12)
                     nu = 2.0
                     break
@@ -343,11 +486,14 @@ def posterior_covariance(lin: Linearization) -> np.ndarray:
 
 
 def _group_information(problem: FusionProblem, x):
-    """Unweighted per-group information matrices at the linearization point."""
-    groups = {}
+    """Unweighted per-group information matrices at the linearization point:
+    the fixed rows' Lambda_g plus the model rows evaluated at x."""
+    groups = dict(problem.fixed_rows().info)
     for src, L in zip(problem.sources, problem._whiteners):
-        _, j = problem._source_rows(src, L, x)
-        groups[src.ci_group] = groups.get(src.ci_group, 0.0) + j.T @ j
+        if src.is_model:
+            _, j = problem._source_rows(src, L, x)
+            info = j.T @ j
+            groups[src.ci_group] = groups[src.ci_group] + info if src.ci_group in groups else info
     return groups
 
 
@@ -406,7 +552,24 @@ def _armijo_step(base, group_infos, w, d, f, decrement):
     return None
 
 
-def ci_optimize_weights(problem: FusionProblem, map_naive) -> CiWeights:
+def _newton_ascent(base, group_infos, w, f, chol):
+    """Active-set Newton ascent of log det M from w: the last accepted
+    (w, f) and whether the search ended on the decrement test."""
+    for _ in range(_CI_MAX_ITER):
+        g, d = _newton_direction(chol, group_infos, w)
+        decrement = float(g @ d)
+        if decrement <= _CI_DECREMENT_RTOL * max(1.0, abs(f)):
+            return w, f, True
+        step = _armijo_step(base, group_infos, w, d, f, decrement)
+        if step is None:
+            return w, f, False
+        w, f, chol = step
+    return w, f, False
+
+
+def ci_optimize_weights(
+    problem: FusionProblem, map_naive, start: CiWeights | None = None
+) -> CiWeights:
     """Simplex weights minimizing log det of the posterior covariance.
 
     Maximizes the concave f(w) = log det M, M = B + sum_i w_i I_i, over the
@@ -414,19 +577,28 @@ def ci_optimize_weights(problem: FusionProblem, map_naive) -> CiWeights:
     group's information, I_i the unweighted information of group i, with
     model Jacobians frozen at the naive-fusion working point.
 
-    Active-set Newton ascent from uniform weights. Each iteration factors M
-    once for g_i = tr(M^-1 I_i) and H_ij = -tr(M^-1 I_i M^-1 I_j), solves
-    the KKT system of the free coordinates by least squares, caps the step
-    at the simplex boundary (a coordinate that reaches zero leaves the free
-    set; it re-enters when its gradient exceeds the free set's mean) and
+    Active-set Newton ascent. Each iteration factors M once for
+    g_i = tr(M^-1 I_i) and H_ij = -tr(M^-1 I_i M^-1 I_j), solves the KKT
+    system of the free coordinates by least squares, caps the step at the
+    simplex boundary (a coordinate that reaches zero leaves the free set;
+    it re-enters when its gradient exceeds the free set's mean) and
     backtracks to the Armijo condition. It stops when the Newton decrement
     g.d is at most 1e-10 * max(1, |f|), when backtracking finds no
     improvement, or after 30 iterations, and returns the last accepted
     point (f rises monotonically).
 
+    The search starts from `start`, the step's previous weights, when its
+    communication groups are the problem's and M is non-singular there.
+    f is concave, so only where the search stops within the tolerance
+    depends on the start. A search from `start` that does not end on the
+    decrement test is discarded: near a singular M the Newton steps are too
+    short to leave it. Otherwise, and without a start, the search starts
+    from uniform weights.
+
     M singular at uniform weights is singular on the whole open simplex;
     the pure-local corner is then returned. Ties go to the local group: the
-    corner [1, 0, ...] is returned when it scores within 1e-12 of the best.
+    corner [1, 0, ...] is returned when it scores within 1e-12 of the best,
+    whatever the start.
     """
     comm = problem.comm_groups()
     if not comm:
@@ -437,22 +609,21 @@ def ci_optimize_weights(problem: FusionProblem, map_naive) -> CiWeights:
     infos = [group_info.get(g, zeros) for g in [GROUP_LOCAL] + comm]
     corner = np.eye(len(infos))[0]
 
-    w = np.full(len(infos), 1.0 / len(infos))
-    best, chol = _logdet_information(base, infos, w)
+    converged = False
+    if start is not None and set(start.w_comm) == set(comm):
+        w = np.array([start.w_local] + [start.w_comm[g] for g in comm])
+        best, chol = _logdet_information(base, infos, w)
+        if chol is not None:
+            w, best, converged = _newton_ascent(base, infos, w, best, chol)
+    if not converged:
+        w = np.full(len(infos), 1.0 / len(infos))
+        best, chol = _logdet_information(base, infos, w)
+        if chol is not None:
+            w, best, _ = _newton_ascent(base, infos, w, best, chol)
     if chol is None:
         w = corner
-    else:
-        for _ in range(_CI_MAX_ITER):
-            g, d = _newton_direction(chol, infos, w)
-            decrement = float(g @ d)
-            if decrement <= _CI_DECREMENT_RTOL * max(1.0, abs(best)):
-                break
-            step = _armijo_step(base, infos, w, d, best, decrement)
-            if step is None:
-                break
-            w, best, chol = step
-        if _logdet_information(base, infos, corner)[0] >= best - 1e-12:
-            w = corner
+    elif _logdet_information(base, infos, corner)[0] >= best - 1e-12:
+        w = corner
     w = w / float(sum(w))
     return CiWeights(
         w_local=float(w[0]),
@@ -461,23 +632,40 @@ def ci_optimize_weights(problem: FusionProblem, map_naive) -> CiWeights:
     )
 
 
-def implicit_jacobian(lin: Linearization) -> dict:
+def implicit_jacobian(lin: Linearization, kinds=None) -> dict:
     """Per-source chunks of the MAP-vs-inhomogeneity Jacobian at a MAP.
 
     The full matrix is (J^T J)^{-1} J^T applied to the block-diagonal
     weighted whitening; second-order residual terms are omitted. Keys are
-    source ids, values are (dim x out_dim) arrays.
+    source ids, values are (dim x out_dim) arrays: every source's, or only
+    those of the given source kinds.
     """
     problem, jac, chol = lin.problem, lin.jac, lin.chol
+    chunks = [
+        (src, off, m, L)
+        for src, (_, off, m), L in zip(problem.sources, problem.offsets, problem._whiteners)
+        if kinds is None or src.kind in kinds
+    ]
     # chunk = w * N^{-1} J_src^T Gamma_src^{-1}; the sources' right-hand
     # sides sit side by side, so two solves serve them all.
-    rhs = np.empty((problem.dim, problem.beta_dim))
-    for src, (sid, off, m), L in zip(problem.sources, problem.offsets, problem._whiteners):
+    rhs = np.empty((problem.dim, sum(m for _, _, m, _ in chunks)))
+    col = 0
+    for src, off, m, L in chunks:
         w = problem.weights.weight_for(src.ci_group)
         js = jac[off : off + m, :]  # already sqrt(w) L J_src
-        rhs[:, off : off + m] = js.T @ (math.sqrt(w) * L)
+        rhs[:, col : col + m] = js.T @ (math.sqrt(w) * L)
+        col += m
     full = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
-    return {sid: full[:, off : off + m] for sid, off, m in problem.offsets}
+    out, col = {}, 0
+    for src, _, m, _ in chunks:
+        out[src.id] = full[:, col : col + m]
+        col += m
+    return out
+
+
+# The sources a node relays gradients through: the prior back in time, the
+# parameters into setpoint gradients, the communications to neighbors.
+RELAYED_KINDS = (KIND_PRIOR, KIND_PARAMETER, KIND_COMMUNICATION)
 
 
 @dataclass
@@ -493,34 +681,44 @@ class FusionResult:
 
     @property
     def jac_chunks(self) -> dict:
+        """Implicit-Jacobian chunks of the RELAYED_KINDS sources."""
         # Rebuilt on demand rather than kept from fuse: most results are
         # never backpropagated through, and the factor would stay in memory.
         if self._jac_chunks is None:
-            self._jac_chunks = implicit_jacobian(Linearization(self._problem, self.map))
+            lin = Linearization(self._problem, self.map)
+            self._jac_chunks = implicit_jacobian(lin, RELAYED_KINDS)
         return self._jac_chunks
 
 
-def fuse(problem: FusionProblem, x0) -> FusionResult:
+def fuse(problem: FusionProblem, x0, ci_start: CiWeights | None = None) -> FusionResult:
     """Two-phase fusion: naive solve, CI weight optimization at that working
-    point, final weighted solve. One Linearization at the final MAP gives the
-    posterior covariance and chi2; the MAP Jacobians are rebuilt from the
-    same point on first use.
+    point (starting from ci_start, the step's previous weights, if given),
+    final weighted solve. An all-linear problem's group information does
+    not depend on the point, so it skips the naive solve. One Linearization
+    at the final MAP gives the posterior covariance and chi2; the MAP
+    Jacobians are rebuilt from the same point on first use.
 
     Raises WellPosednessError when a coordinate has no information at x0,
-    SingularInformation when the information matrix at the MAP is singular.
+    SingularInformation when the information matrix at the MAP is singular,
+    KernelFailure when a numpy linear-algebra kernel fails.
     """
-    problem.set_weights(naive_weights(problem))
-    x_naive = solve_map(problem, x0)
-    if problem.comm_groups():
-        weights = ci_optimize_weights(problem, x_naive)
-        problem.set_weights(weights)
-        x_map = solve_map(problem, x_naive)
-    else:
-        x_map = x_naive
-    lin = Linearization(problem, x_map)
+    try:
+        problem.set_weights(naive_weights(problem))
+        if not problem.comm_groups():
+            x_map = solve_map(problem, x0)
+        else:
+            point = x0 if problem.all_linear else solve_map(problem, x0)
+            problem.set_weights(ci_optimize_weights(problem, point, ci_start))
+            x_map = solve_map(problem, point)
+        lin = Linearization(problem, x_map)
+        post_cov = posterior_covariance(lin)
+    except np.linalg.LinAlgError as exc:
+        raise KernelFailure(f"linear-algebra kernel failed: {exc}") from exc
+    finally:
+        problem.release_fixed_rows()
     return FusionResult(
         map=x_map,
-        post_cov=posterior_covariance(lin),
+        post_cov=post_cov,
         chi2=float(lin.r @ lin.r),
         ci_weights=problem.weights,
         _problem=problem,

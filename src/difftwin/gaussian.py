@@ -9,6 +9,11 @@ the covariance is accepted when cov + tau I has a Cholesky factor, with
 tau = 1e-10 * trace(cov) (at least 1e-300). A positive semi-definite
 covariance, singular ones included, always passes; one whose smallest
 eigenvalue lies below -1e-10 * trace(cov) never does.
+
+What is derived from a covariance alone, such as the whitening that
+fusion caches there, is shared by every estimate that `with_mean` makes
+from it; `LinearObservation.with_value` likewise reuses rows whose rank
+was checked once.
 """
 
 from __future__ import annotations
@@ -84,8 +89,26 @@ class GaussianEstimate:
             ) from None
         mean.setflags(write=False)
         cov.setflags(write=False)
+        self._set(mean, cov, {})
+
+    def _set(self, mean, cov, cov_cache):
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
+        # Operators derived from the covariance alone, keyed by name.
+        object.__setattr__(self, "cov_cache", cov_cache)
+
+    def with_mean(self, mean) -> GaussianEstimate:
+        """This covariance around a new mean: the covariance is not checked
+        again, and the two estimates share its cache."""
+        mean = np.array(mean, dtype=float).reshape(-1)
+        if mean.shape != self.mean.shape:
+            raise DimensionMismatch(f"mean has dim {mean.shape[0]}, estimate dim is {self.dim}")
+        if not np.all(np.isfinite(mean)):
+            raise ValueError("GaussianEstimate requires finite mean and cov")
+        mean.setflags(write=False)
+        est = object.__new__(GaussianEstimate)
+        est._set(mean, self.cov, self.cov_cache)
+        return est
 
     @property
     def dim(self) -> int:
@@ -122,8 +145,21 @@ class LinearObservation:
             )
         m = m.copy()
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        self._set(m, value)
+
+    def _set(self, matrix, value):
+        object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "value", value)
+
+    def with_value(self, value: GaussianEstimate) -> LinearObservation:
+        """The same rows with a new value; their rank is not checked again."""
+        if value.dim != self.out_dim:
+            raise DimensionMismatch(
+                f"observation matrix has {self.out_dim} rows but value dim is {value.dim}"
+            )
+        obs = object.__new__(LinearObservation)
+        obs._set(self.matrix, value)
+        return obs
 
     @property
     def out_dim(self) -> int:

@@ -2,7 +2,8 @@
 
 A nonlinear model exposes out_dim, noise_cov, evaluate(x) and jacobian(x)
 over the concatenated per-step state [x_next; x_cur]. Models are immutable
-after construction and evaluation is pure.
+after construction and evaluation is pure; fusion keeps the whitening of
+noise_cov on the model object.
 
 Constant rows A x with zero-mean Gaussian row noise are not models: their
 builders return one LinearObservation, the same type as prior, parameter,

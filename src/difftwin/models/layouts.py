@@ -8,7 +8,8 @@ coordinate name into the respective block.
 `SIZES` and `MATERIALS` are the only spelled-out copies of the class
 vocabulary; every other module reads them or these layouts. A drum outlet
 is named by the size class it collects and a sorter outlet by the material
-it collects, so the outlet names are `SIZES` and `MATERIALS` as well.
+it collects, so the outlet names are `SIZES` and `MATERIALS` as well;
+`MID_LINE` is the drum outlet that feeds the conveyor and the sorter.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 
 SIZES = ("S", "M", "L")
 MATERIALS = ("NFM", "FM")
+MID_LINE = SIZES[1]
 
 HISTORY_SLOTS = 8
 STEP_SECONDS = 30.0

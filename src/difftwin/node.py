@@ -44,6 +44,7 @@ from .fusion import (
     fuse,
 )
 from .gaussian import GaussianEstimate, LinearObservation, kl_divergence_bits, project
+from .models.base import linear_rows
 from .models.layouts import STEP_SECONDS, StateLayout
 from .protocol import (
     ACTION_TO_BACKPROPAGATION,
@@ -84,14 +85,24 @@ class NeighborRegistration:
 
     name: str
     obs_matrix: np.ndarray
+    # The exchange rows as an observation, rank-checked once; each received
+    # estimate takes its place as the value.
+    rows: LinearObservation = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = np.asarray(self.obs_matrix, dtype=float)
-        if np.linalg.matrix_rank(m) < m.shape[0]:
-            raise DimensionMismatch(
-                f"exchange matrix for neighbor {self.name!r} is rank deficient"
-            )
-        object.__setattr__(self, "obs_matrix", m)
+        rows = _checked_rows(self.obs_matrix, f"exchange matrix for neighbor {self.name!r}")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "obs_matrix", rows.matrix)
+
+
+def _checked_rows(matrix, what: str) -> LinearObservation:
+    """The rows observed as zero with unit noise: a template whose full row
+    rank is checked here, once, for `with_value`."""
+    m = np.asarray(matrix, dtype=float)
+    try:
+        return linear_rows(m, np.eye(m.shape[0]))
+    except DimensionMismatch:
+        raise DimensionMismatch(f"{what} is rank deficient") from None
 
 
 @dataclass(frozen=True)
@@ -105,13 +116,17 @@ class SensorBinding:
 
     sensor_id: str
     rows: np.ndarray
+    template: LinearObservation = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        template = _checked_rows(self.rows, f"rows of sensor {self.sensor_id!r}")
+        object.__setattr__(self, "template", template)
+        object.__setattr__(self, "rows", template.matrix)
 
     def observation(self, values) -> LinearObservation:
         values = np.atleast_1d(np.asarray(values, dtype=float))
         var = np.maximum(values, SENSOR_FLOW_FLOOR) * SENSOR_EFFECTIVE_MASS / STEP_SECONDS
-        return LinearObservation(
-            self.rows, GaussianEstimate(values, np.diag(var))
-        )
+        return self.template.with_value(GaussianEstimate(values, np.diag(var)))
 
 
 @dataclass
@@ -214,8 +229,10 @@ class Node:
             raise DimensionMismatch("initial prior dimension disagrees with layout")
         self.initial_prior = initial_prior
         self._m_pred = np.hstack([np.eye(n), np.zeros((n, n))])
-        self._m_prior = np.hstack([np.zeros((n, n)), np.eye(n)])
-        self._param_rows, self._param_row_names = self._build_param_rows()
+        # Rank-checked once here: each fusion puts the step's prior and
+        # setpoints in as the values.
+        self._prior_obs = LinearObservation(np.hstack([np.zeros((n, n)), np.eye(n)]), initial_prior)
+        self._param_obs, self._param_row_names = self._build_param_rows()
 
     # -- registration and wiring ----------------------------------------
 
@@ -228,15 +245,19 @@ class Node:
         self.neighbors[reg.name] = reg
 
     def _build_param_rows(self):
+        """Parameter rows (current and next value of each setpoint) observed
+        at the initial setpoints, and the parameter name of each row."""
         if not self.parameters:
             return None, []
         rows = np.zeros((2 * len(self.parameters), self.layout.dim))
-        names = []
+        names, values = [], []
         for i, p in enumerate(self.parameters):
             rows[2 * i, self.layout.cur(p.coord)] = 1.0
             rows[2 * i + 1, self.layout.nxt(p.coord)] = 1.0
             names.extend([p.name, p.name])
-        return rows, names
+            values.extend([p.initial, p.initial])
+        cov = PARAM_OBS_STD**2 * np.eye(len(values))
+        return LinearObservation(rows, GaussianEstimate(values, cov)), names
 
     # -- horizon bookkeeping ---------------------------------------------
 
@@ -324,10 +345,7 @@ class Node:
             return  # outside the retained window
         reg = self.neighbors[msg.sender]
         rec = self.steps[msg.time_stamp]
-        obs = LinearObservation(
-            reg.obs_matrix, GaussianEstimate(msg.mean, msg.cov)
-        )
-        rec.comms[msg.sender] = obs
+        rec.comms[msg.sender] = reg.rows.with_value(GaussianEstimate(msg.mean, msg.cov))
         rec.dirty = True
 
     def handle_control(self, msg: Message):
@@ -351,7 +369,7 @@ class Node:
     def _build_problem(self, rec: TimeStepRecord) -> FusionProblem:
         lay = self.layout
         sources = [
-            InformationSource("prior", KIND_PRIOR, LinearObservation(self._m_prior, rec.prior)),
+            InformationSource("prior", KIND_PRIOR, self._prior_obs.with_value(rec.prior)),
         ]
         if self.process_model is not None:
             sources.append(InformationSource("proc", KIND_PROCESS, self.process_model))
@@ -362,13 +380,11 @@ class Node:
             for p in self.parameters:
                 values.append(rec.params[p.name])
                 values.append(nxt[p.name])
-            cov = PARAM_OBS_STD**2 * np.eye(len(values))
+            # The parameter covariance never changes, so every step shares
+            # the initial estimate's whitening.
+            value = self._param_obs.value.with_mean(values)
             sources.append(
-                InformationSource(
-                    "param",
-                    KIND_PARAMETER,
-                    LinearObservation(self._param_rows, GaussianEstimate(values, cov)),
-                )
+                InformationSource("param", KIND_PARAMETER, self._param_obs.with_value(value))
             )
         for sid in sorted(rec.sensors):
             sources.append(InformationSource(f"s:{sid}", KIND_SENSOR, rec.sensors[sid]))
@@ -380,17 +396,16 @@ class Node:
         rec = self._open_step(step)
         if not rec.dirty:
             return rec.result
-        problem = self._build_problem(rec)
         if rec.result is not None:
-            x0 = rec.result.map
+            x0, ci_start = rec.result.map, rec.result.ci_weights
         else:
-            x0 = np.concatenate([rec.prior.mean, rec.prior.mean])
+            x0, ci_start = np.concatenate([rec.prior.mean, rec.prior.mean]), None
             nxt = self._next_params(rec)
             for p in self.parameters:
                 x0[self.layout.nxt(p.coord)] = nxt[p.name]
                 x0[self.layout.cur(p.coord)] = rec.params[p.name]
         try:
-            result = fuse(problem, x0)
+            result = fuse(self._build_problem(rec), x0, ci_start)
         except DifftwinError as exc:
             rec.dirty = False
             log.warning("node %s step %d fusion failed, keeping stale result: %s",
@@ -469,11 +484,10 @@ class Node:
         rec = self.steps[step]
         if not np.any(grad_x):
             return
+        # Only the prior, parameter and communication chunks are solved:
+        # sensor and model gradients would serve model fine-tuning, which
+        # this node does not do.
         for sid, chunk in rec.result.jac_chunks.items():
-            # Sensor and model chunks feed no storage: their gradients would
-            # serve model fine-tuning, which this node does not do.
-            if sid not in ("prior", "param") and not sid.startswith("c:"):
-                continue
             g = chunk.T @ grad_x
             if not np.any(g):
                 continue

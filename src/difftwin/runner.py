@@ -24,7 +24,7 @@ from .facility.articles import article_class
 from .facility.probe import STEP_WINDOW, magsorter_sweep, siever_speed_sweep, siever_step_response
 from .lossnode import HALF_STEP, LossNode
 from .models.io import mlp_to_dict, siever_fit_to_dict
-from .models.layouts import MATERIALS, SIZES, STEP_SECONDS
+from .models.layouts import MATERIALS, MID_LINE, SIZES, STEP_SECONDS
 from .models.mlp import mlp_train
 from .models.siever import fit_splits, fit_step_response
 from .protocol import TYPE_GRADIENT, TYPE_INFORMATION
@@ -109,7 +109,7 @@ def _truth_map(machine: str):
                 mapping[f"out.{o}.{p}"] = (f"siever_out_{o}", lambda a, p=p: a.size == p)
     elif machine == "conveyor":
         for p in SIZES:
-            mapping[f"hist.{p}.0"] = ("siever_out_M", lambda a, p=p: a.size == p)
+            mapping[f"hist.{p}.0"] = (f"siever_out_{MID_LINE}", lambda a, p=p: a.size == p)
             mapping[f"out.{p}"] = ("mag_in", lambda a, p=p: a.size == p)
     elif machine == "magsorter":
         for m in MATERIALS:

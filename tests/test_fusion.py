@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from difftwin import fusion
-from difftwin.errors import SingularInformation, WellPosednessError
+from difftwin.errors import KernelFailure, SingularInformation, WellPosednessError
 from difftwin.fusion import (
     KIND_COMMUNICATION,
     KIND_PARAMETER,
@@ -162,17 +162,30 @@ def random_linear_problem(rng, n_x):
     return FusionProblem(dim, sources), (mats, means, covs)
 
 
-def count_assemblies(monkeypatch):
-    """Count FusionProblem.assemble calls in a one-element list."""
+def count_calls(monkeypatch, owner, name):
+    """Count the calls of owner.name in a one-element list."""
     calls = [0]
-    assemble = FusionProblem.assemble
+    real = getattr(owner, name)
 
-    def counting_assemble(problem, x):
+    def counting(*args, **kwargs):
         calls[0] += 1
-        return assemble(problem, x)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(FusionProblem, "assemble", counting_assemble)
+    monkeypatch.setattr(owner, name, counting)
     return calls
+
+
+def all_linear(problem):
+    """The problem with its low-pass prediction model given as the same
+    rows in a LinearObservation."""
+    sources = []
+    for src in problem.sources:
+        payload = src.payload
+        if src.is_model:
+            j = payload.jacobian(np.zeros(problem.dim))
+            payload = obs(j, np.zeros(payload.out_dim), payload.noise_cov)
+        sources.append(InformationSource(src.id, src.kind, payload))
+    return FusionProblem(problem.dim, sources)
 
 
 def random_spd(rng, n, scale=1.0):
@@ -292,23 +305,35 @@ class TestSolveMap:
         assert err.value.uninformed == ("next.flow",)
         assert "next.flow" in str(err.value)
 
-    def test_linear_problem_takes_two_assemblies(self, monkeypatch):
-        # One assembly at x0, one at the Gauss-Newton step, which lands on
-        # the minimum; the gradient test then stops the solve.
-        calls = count_assemblies(monkeypatch)
+    def test_linear_problem_takes_one_solve_and_no_iteration(self, monkeypatch):
+        # No model rows: one exact Newton step from one factorization (the
+        # general solve), no damped trial (each makes a Cholesky verdict)
+        # and no assembly of the stacked system.
         rng = np.random.default_rng(23)
+        problems = []
         for _ in range(10):
             n_x = int(rng.integers(1, 4))
-            p, _ = random_linear_problem(rng, n_x)
-            calls[0] = 0
-            solve_map(p, np.zeros(2 * n_x))
-            assert calls[0] == 2
+            p, pieces = random_linear_problem(rng, n_x)
+            problems.append((all_linear(p), pieces))
+        solves = count_calls(monkeypatch, np.linalg, "solve")
+        cholesky = count_calls(monkeypatch, np.linalg, "cholesky")
+        assembles = count_calls(monkeypatch, FusionProblem, "assemble")
+        for p, (mats, means, covs) in problems:
+            assert p.all_linear
+            solves[0] = cholesky[0] = 0
+            x = solve_map(p, np.zeros(p.dim))
+            assert (solves[0], cholesky[0], assembles[0]) == (1, 0, 0)
+            np.testing.assert_allclose(x, gls_oracle(mats, means, covs)[0], rtol=1e-8, atol=1e-8)
+            # At its own MAP the solve stops on the gradient test.
+            solves[0] = 0
+            np.testing.assert_array_equal(solve_map(p, x), x)
+            assert solves[0] == 0
 
     def test_restart_at_map_stops_at_round_off_floor(self, monkeypatch):
         # A heavily weighted bilinear row x0 x1 = 1 leaves a gradient above
         # the gradient test at the MAP, but the predicted decrease of the
         # next step is below what chi2 can resolve: the solve returns that
-        # step without assembling it.
+        # step without evaluating the model rows there.
         class Bilinear:
             out_dim = 1
             noise_cov = np.array([[1e-8]])
@@ -326,10 +351,96 @@ class TestSolveMap:
         p = FusionProblem(2, sources)
         x_map = solve_map(p, np.array([3.0, 0.1]))
         assert x_map[0] * x_map[1] == pytest.approx(1.0, abs=1e-6)
-        calls = count_assemblies(monkeypatch)
+        evaluations = count_calls(monkeypatch, Bilinear, "evaluate")
+        assembles = count_calls(monkeypatch, FusionProblem, "assemble")
         x_again = solve_map(p, x_map)
-        assert calls[0] == 1
+        assert (evaluations[0], assembles[0]) == (1, 0)
         np.testing.assert_allclose(x_again, x_map, rtol=0.0, atol=1e-9)
+
+    def test_matches_stacked_least_squares_with_model_rows(self):
+        # The information form gives the MAP of the stacked system, found
+        # here by Gauss-Newton steps on the stacked rows by least squares,
+        # for naive and CI weights.
+        rng = np.random.default_rng(29)
+        for _ in range(8):
+            n_x = int(rng.integers(1, 4))
+            p, _ = random_linear_problem(rng, n_x)
+            m_cur = np.hstack([np.zeros((n_x, n_x)), np.eye(n_x)])
+            comm = obs(m_cur, rng.standard_normal(n_x), random_spd(rng, n_x))
+            quad = QuadraticModel(2 * n_x, 2 * n_x - 1, 2.0, 1.0)
+            p = FusionProblem(
+                p.dim,
+                p.sources
+                + [
+                    InformationSource("quad", KIND_PROCESS, quad),
+                    InformationSource("c1", KIND_COMMUNICATION, comm),
+                ],
+            )
+            for w in (1.0, float(rng.uniform(0.1, 0.9))):
+                p.set_weights(CiWeights(w_local=w, w_comm={"comm:c1": 1.0 - w}))
+                x = solve_map(p, np.ones(p.dim))
+                want = x.copy()
+                for _ in range(20):
+                    r, jac = p.assemble(want)
+                    want -= np.linalg.lstsq(jac, r, rcond=None)[0]
+                # The gradient test and the round-off floor leave up to
+                # about 3e-8 here.
+                np.testing.assert_allclose(x, want, rtol=0.0, atol=1e-7)
+
+
+class TestFixedRows:
+    def test_parameter_row_residual_exact_at_its_mean(self):
+        # sigma = 1e-4 at value 12: L (M x - mu) is exactly 0 at the mean
+        # and keeps every digit of a small offset, which the cancelling
+        # form (L M) x - L mu loses.
+        sources = [
+            InformationSource("prior", KIND_PRIOR, obs([[1.0, 0.0]], 0.0, 1.0)),
+            InformationSource("param", KIND_PARAMETER, obs([[0.0, 1.0]], 12.0, 1e-8)),
+        ]
+        fixed = FusionProblem(2, sources).fixed_rows()
+        _, L, _, a = fixed.sources[1]
+        assert fixed.residuals(np.array([0.0, 12.0]))[1][0] == 0.0
+        x = np.array([0.0, 12.0 + 1e-9])
+        offset = x[1] - 12.0  # exact: both lie within a factor two
+        r = fixed.residuals(x)[1][0]
+        assert r == pytest.approx(L[0, 0] * offset, rel=1e-15)
+        assert abs((a @ x - L @ [12.0])[0] - r) > 1e-12 * abs(r)
+
+    def test_group_information_sums_whitened_rows(self):
+        p = _three_group_problem()
+        fixed = p.fixed_rows()
+        assert set(fixed.info) == {"local", "comm:c1", "comm:c2"}
+        for src in p.sources:
+            if not src.is_model:
+                o = src.payload
+                want = o.matrix.T @ np.linalg.inv(o.value.cov) @ o.matrix
+                # Whitening regularizes by 1e-10 * trace / n.
+                np.testing.assert_allclose(fixed.info[src.ci_group], want, rtol=1e-9)
+
+    def test_whitening_computed_once_per_covariance(self, monkeypatch):
+        whitenings = count_calls(monkeypatch, fusion, "whitening_from_cov_fast")
+        model = LowpassModel(1, 1.0)
+        prior = obs([[0.0, 1.0]], 1.0, 2.0)
+        param = obs([[1.0, 0.0]], 12.0, 1e-8)
+
+        def problem(param_value):
+            return FusionProblem(
+                2,
+                [
+                    InformationSource("prior", KIND_PRIOR, prior),
+                    InformationSource("pred", KIND_PREDICTION, model),
+                    InformationSource("param", KIND_PARAMETER, param_value),
+                ],
+            )
+
+        problem(param)
+        assert whitenings[0] == 3
+        # Same estimates and model again; a new mean on the same covariance.
+        problem(param.with_value(param.value.with_mean([13.0])))
+        assert whitenings[0] == 3
+        model.noise_cov = 2.0 * np.eye(1)
+        problem(param)
+        assert whitenings[0] == 4
 
 
 class TestLinearization:
@@ -512,6 +623,66 @@ class TestCiWeights:
         w = ci_optimize_weights(FusionProblem(2, sources), np.zeros(2))
         assert w.w_local == 1.0 and w.w_comm == {"comm:c1": 0.0}
 
+    def test_warm_start_agrees_with_uniform_start(self):
+        # Seeded problems of two or three groups; starts at the previous
+        # optimum, at a random simplex point and at every corner. Where M
+        # is singular at the start, or the groups differ, the search starts
+        # from uniform weights; where M is nearly singular there (log det
+        # -40 against -5 at uniform weights), the search from the start
+        # stalls and is replaced by one from uniform weights.
+        rng = np.random.default_rng(59)
+        singular_starts = nearly_singular_starts = 0
+        for _ in range(20):
+            n_x, n_comm = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+            dim = 2 * n_x
+            m_cur = np.hstack([np.zeros((n_x, n_x)), np.eye(n_x)])
+            prior = obs(m_cur, rng.standard_normal(n_x), random_spd(rng, n_x))
+            pred = LowpassModel(n_x, float(rng.uniform(0.1, 10.0)))
+            sources = [
+                InformationSource("prior", KIND_PRIOR, prior),
+                InformationSource("pred", KIND_PREDICTION, pred),
+            ]
+            for i in range(n_comm):
+                rows = int(rng.integers(1, dim + 1))
+                m, mean = rng.standard_normal((rows, dim)), rng.standard_normal(rows)
+                o = obs(m, mean, random_spd(rng, rows))
+                sources.append(InformationSource(f"c{i}", KIND_COMMUNICATION, o))
+            p = FusionProblem(dim, sources)
+            x = np.zeros(dim)
+            comm = p.comm_groups()
+            infos = fusion._group_information(p, x)
+            group_infos = [infos[g] for g in ["local"] + comm]
+
+            def f(w):
+                vec = [w.w_local] + [w.w_comm[g] for g in comm]
+                return fusion._logdet_information(infos["pred"], group_infos, vec)[0]
+
+            uniform = ci_optimize_weights(p, x)
+            k = n_comm + 1
+            starts = [uniform] + [
+                CiWeights(w_local=v[0], w_comm=dict(zip(comm, v[1:])))
+                for v in list(np.eye(k)) + [rng.dirichlet(np.ones(k))]
+            ]
+            tol = fusion._CI_DECREMENT_RTOL * max(1.0, abs(f(uniform)))
+            for start in starts:
+                singular_starts += f(start) == -np.inf
+                nearly_singular_starts += -np.inf < f(start) < f(uniform) - 30.0
+                warm = ci_optimize_weights(p, x, start)
+                assert warm.w_local + sum(warm.w_comm.values()) == pytest.approx(1.0, abs=1e-15)
+                assert abs(f(warm) - f(uniform)) <= tol
+            other = CiWeights(w_local=0.5, w_comm={"comm:other": 0.5})
+            assert ci_optimize_weights(p, x, other) == uniform
+        assert singular_starts > 0 and nearly_singular_starts > 0
+
+    def test_warm_start_at_the_optimum_stops_at_once(self, monkeypatch):
+        p = _three_group_problem()
+        w = ci_optimize_weights(p, np.zeros(4))
+        logdets = count_calls(monkeypatch, fusion, "_logdet_information")
+        directions = count_calls(monkeypatch, fusion, "_newton_direction")
+        assert ci_optimize_weights(p, np.zeros(4), w) == w
+        # The start, then the corner tie-break; one Newton direction.
+        assert (logdets[0], directions[0]) == (2, 1)
+
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -665,34 +836,23 @@ class TestFuse:
         r0, _ = p.assemble(x0)
         assert res.chi2 <= float(r0 @ r0) + 1e-12
 
-    def test_one_assembly_beyond_solve_map(self, monkeypatch):
+    def test_one_linearization_per_fuse(self, monkeypatch):
+        # solve_map never assembles the stacked system: the one assembly of
+        # a fuse is its Linearization at the MAP.
         sources = [
             InformationSource("prior", KIND_PRIOR, obs([[0.0, 1.0]], 0.0, 1.0)),
             InformationSource("pred", KIND_PREDICTION, LowpassModel(1, 1.0)),
             InformationSource("c1", KIND_COMMUNICATION, obs([[0.0, 1.0]], 4.0, 1.0)),
         ]
         p = FusionProblem(2, sources)
-        calls = {"all": 0, "solve_map": 0}
-        in_solve = [False]
-        assemble, solve = FusionProblem.assemble, fusion.solve_map
-
-        def counting_assemble(problem, x):
-            calls["all"] += 1
-            calls["solve_map"] += in_solve[0]
-            return assemble(problem, x)
-
-        def marking_solve(problem, x0):
-            in_solve[0] = True
-            try:
-                return solve(problem, x0)
-            finally:
-                in_solve[0] = False
-
-        monkeypatch.setattr(FusionProblem, "assemble", counting_assemble)
-        monkeypatch.setattr(fusion, "solve_map", marking_solve)
+        solves = count_calls(monkeypatch, fusion, "solve_map")
+        linearizations = count_calls(monkeypatch, fusion, "Linearization")
+        assembles = count_calls(monkeypatch, FusionProblem, "assemble")
         fuse(p, np.zeros(2))
-        assert calls["solve_map"] > 0
-        assert calls["all"] - calls["solve_map"] == 1
+        assert solves[0] == 2
+        assert (linearizations[0], assembles[0]) == (1, 1)
+        # The fixed rows are dropped with the fuse.
+        assert p._fixed is None
 
     def test_result_equals_fresh_linearization_at_map(self):
         rng = np.random.default_rng(53)
@@ -707,10 +867,32 @@ class TestFuse:
         lin = Linearization(p, res.map)
         np.testing.assert_array_equal(res.post_cov, posterior_covariance(lin))
         assert res.chi2 == float(lin.r @ lin.r)
-        fresh = implicit_jacobian(lin)
-        assert res.jac_chunks.keys() == fresh.keys()
+        fresh = implicit_jacobian(lin, fusion.RELAYED_KINDS)
+        assert res.jac_chunks.keys() == fresh.keys() == {"prior", "c1"}
         for sid, chunk in fresh.items():
             np.testing.assert_array_equal(res.jac_chunks[sid], chunk)
+        # Solving only some chunks gives the same columns as solving all.
+        every = implicit_jacobian(lin)
+        assert set(every) == {s.id for s in p.sources}
+        for sid, chunk in fresh.items():
+            np.testing.assert_allclose(chunk, every[sid], rtol=1e-12, atol=1e-15)
+
+    def test_numpy_failure_is_a_typed_error(self, monkeypatch):
+        def failing(*args):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(fusion, "_newton_direction", failing)
+        p = FusionProblem(
+            2,
+            [
+                InformationSource("prior", KIND_PRIOR, obs([[0.0, 1.0]], 0.0, 1.0)),
+                InformationSource("pred", KIND_PREDICTION, LowpassModel(1, 1.0)),
+                InformationSource("c1", KIND_COMMUNICATION, obs([[0.0, 1.0]], 4.0, 1.0)),
+            ],
+        )
+        with pytest.raises(KernelFailure, match="SVD did not converge"):
+            fuse(p, np.zeros(2))
+        assert p._fixed is None
 
     def test_well_posedness_error_names_coordinates(self):
         sources = [

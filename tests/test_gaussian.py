@@ -127,6 +127,34 @@ class TestLinearObservation:
         obs = LinearObservation([[1.0, 1.0, 0.0]], value)
         assert obs.out_dim == 1 and obs.state_dim == 3
 
+    def test_with_value_shares_checked_rows(self, monkeypatch):
+        obs = LinearObservation([[1.0, 1.0, 0.0]], GaussianEstimate([1.0], np.eye(1)))
+        ranks = []
+        monkeypatch.setattr(np.linalg, "matrix_rank", lambda *a, **k: ranks.append(a))
+        other = obs.with_value(GaussianEstimate([2.0], 3.0 * np.eye(1)))
+        assert other.matrix is obs.matrix and not ranks
+        assert other.value.mean[0] == 2.0
+        with pytest.raises(DimensionMismatch):
+            obs.with_value(GaussianEstimate([1.0, 2.0], np.eye(2)))
+
+
+class TestWithMean:
+    def test_shares_covariance_and_its_cache(self):
+        est = GaussianEstimate([1.0, 2.0], [[2.0, 0.5], [0.5, 1.0]])
+        est.cov_cache["whitening"] = "cached"
+        moved = est.with_mean([3.0, 4.0])
+        assert moved.cov is est.cov and moved.cov_cache is est.cov_cache
+        np.testing.assert_array_equal(moved.mean, [3.0, 4.0])
+        assert not moved.mean.flags.writeable
+        assert est.mean[0] == 1.0
+
+    def test_rejects_wrong_dimension_and_non_finite_mean(self):
+        est = GaussianEstimate([1.0, 2.0], np.eye(2))
+        with pytest.raises(DimensionMismatch):
+            est.with_mean([1.0])
+        with pytest.raises(ValueError):
+            est.with_mean([np.nan, 0.0])
+
 
 class TestWhitening:
     def test_identity(self):

@@ -5,7 +5,13 @@ import logging
 import numpy as np
 import pytest
 
-from difftwin.errors import FrozenStep, GradientOutsidePeriod, UnknownAction, UnknownNeighbor
+from difftwin.errors import (
+    DimensionMismatch,
+    FrozenStep,
+    GradientOutsidePeriod,
+    UnknownAction,
+    UnknownNeighbor,
+)
 from difftwin.gaussian import GaussianEstimate, LinearObservation, kl_divergence_bits
 from difftwin.models.base import DifferentiableModel
 from difftwin.models.layouts import StateLayout
@@ -147,6 +153,26 @@ class TestInformationHandling:
         node.handle_message(information_message("b", "a", 0, [2.5], [[0.5]]))
         assert len(node.steps[0].comms) == 1
         assert node.steps[0].comms["b"].value.mean[0] == 2.5
+
+    def test_rows_rank_checked_once(self, monkeypatch):
+        # Exchange, sensor, prior and parameter rows are checked when the
+        # node is built; messages, readings and fusions reuse them.
+        lay = tank_layout(with_param=True)
+        binding = SensorBinding("s1", exchange_row(lay))
+        node = make_node(neighbor_names=("b",), with_param=True)
+        node.sensors = {"s1": binding}
+        ranks = []
+        monkeypatch.setattr(np.linalg, "matrix_rank", lambda *a, **k: ranks.append(a))
+        node.ensure_horizon(0.0)
+        node.handle_message(information_message("b", "a", 0, [2.0], [[0.5]]))
+        node.observe_sensor(0, "s1", [0.06])
+        node.pump([])
+        assert node.steps[0].result is not None and not ranks
+
+    def test_rank_deficient_exchange_rows_rejected(self):
+        lay = tank_layout()
+        with pytest.raises(DimensionMismatch, match="neighbor 'b' is rank deficient"):
+            NeighborRegistration("b", np.vstack([exchange_row(lay)] * 2))
 
     def test_unregistered_sender_rejected(self):
         node = make_node(neighbor_names=("b",))
