@@ -33,8 +33,9 @@ change between its solves (the information form; Dellaert & Kaess 2017):
   problem is solved by one exact Newton step, x - N^-1 g, with one
   factorization. `fuse` drops the fixed rows before it returns.
 - CI weights. The weight search starts from the step's previous weights
-  when their communication groups are the problem's, and from uniform
-  weights otherwise.
+  when their communication groups are the problem's and M is non-singular
+  there, and from uniform weights otherwise or when the warm search does
+  not converge.
 
 At the MAP the whole stacked system is assembled and its normal matrix
 factored once, in a `Linearization`; the posterior covariance, the
